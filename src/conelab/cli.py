@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", type=int, default=None)
     p.add_argument("--format", choices=["csv", "json", "svg"], default=None)
     p.add_argument("--output", default=None)
-    p.add_argument("--no-timing", action="store_true",
+    p.add_argument("--no-timing", action="store_true", default=None,
                    help="zero the wall_time_ms column for reproducible output")
 
     p = sub.add_parser("shoot", help="integrate one trajectory of the angle ODE")
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset (None) flags from the JSON config, if one was given."""
     if not args.config:
         return
@@ -212,9 +212,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    args = _build_parser().parse_args(argv)
+    _apply_config(args)
     return _COMMANDS[args.command](args)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import integrate, optimize
@@ -230,19 +230,38 @@ def exp_profile_bound(space: ConeSpace, delta: float, alpha: float) -> float:
     return ((1.0 - an) * math.sqrt(1.0 + x) + an - an * math.sin(delta) ** p) / n
 
 
+def _margin(n: int, lam, p, log_alpha, delta):
+    """1/n minus the closed-form bound, cancellation-free; broadcasts over arrays.
+
+    p is the decay power n*lam/sqrt(n-1) of lam.
+    """
+    an = np.exp(n * log_alpha)
+    x = (lam * delta / log_alpha) ** 2
+    # 1 - sqrt(1+x) = -x / (1 + sqrt(1+x))
+    return (an * np.sin(delta) ** p - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
+
+
+def _log_margin(n: int, lam, p, log_delta, log_alpha):
+    """log(gain) - log(cost) of ``_margin``; broadcasts over arrays."""
+    # log sin(delta) = log delta + log(sin(delta)/delta).  The ratio rounds
+    # to 1 below delta ~ 2.6e-8, so flooring delta at 1e-300 (it underflows
+    # to 0 below log delta ~ -745) leaves log sin(delta) = log delta there.
+    delta = np.maximum(np.exp(log_delta), 1e-300)
+    log_gain = n * log_alpha + p * (log_delta + np.log(np.sin(delta) / delta))
+    # cost = (1 - alpha^n)(sqrt(1+x) - 1),  x = (lam*delta/ln alpha)^2
+    log_x = 2.0 * (log_delta + np.log(lam) - np.log(-log_alpha))
+    log_cost = (np.log1p(-np.exp(n * log_alpha)) + log_x
+                - np.log(1.0 + np.sqrt(1.0 + np.exp(log_x))))
+    return log_gain - log_cost
+
+
 def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
     """1/n minus the closed-form bound, in a cancellation-free arrangement.
 
     Accurate for junction angles far below the square root of machine
     epsilon, where the direct bound formula loses every significant digit.
     """
-    n = space.n
-    p = _decay_power(space)
-    x = (space.lam * delta / math.log(alpha)) ** 2
-    an = alpha**n
-    # 1 - sqrt(1+x) = -x / (1 + sqrt(1+x))
-    return (an * math.sin(delta) ** p
-            - (1.0 - an) * x / (1.0 + math.sqrt(1.0 + x))) / n
+    return float(_margin(space.n, space.lam, _decay_power(space), math.log(alpha), delta))
 
 
 def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> float:
@@ -252,21 +271,8 @@ def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> 
     the logarithm of the junction angle alone, so junctions far below the
     smallest positive double remain decidable.
     """
-    n = space.n
-    p = _decay_power(space)
-    log_alpha = math.log(alpha)
-    if log_delta > -5.0:
-        delta = math.exp(log_delta)
-        log_sin = math.log(math.sin(delta))
-    else:
-        log_sin = log_delta  # sin(delta) = delta to below double precision
-    log_gain = n * log_alpha + p * log_sin
-    # cost = (1 - alpha^n)(sqrt(1+x) - 1),  x = (lam*delta/ln alpha)^2
-    log_x = 2.0 * (log_delta + math.log(space.lam) - math.log(-log_alpha))
-    x = math.exp(log_x) if log_x > -700.0 else 0.0
-    log_cost = (math.log1p(-alpha**n) + log_x
-                - math.log(1.0 + math.sqrt(1.0 + x)))
-    return log_gain - log_cost
+    return float(_log_margin(space.n, space.lam, _decay_power(space), log_delta,
+                             math.log(alpha)))
 
 
 def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
@@ -383,87 +389,146 @@ class SearchResult:
     evaluations: int
 
 
+class Searches(NamedTuple):
+    """``search_competitors``' result: one entry per lambda in each array.
+
+    Where nothing is found, alpha and log_delta are the grid's best point
+    and margin is its (negative) margin.
+    """
+
+    found: np.ndarray
+    alpha: np.ndarray
+    log_delta: np.ndarray
+    margin: np.ndarray
+    evaluations: np.ndarray
+
+
 _ALPHA_GRID = np.exp(np.linspace(math.log(1e-4), math.log(0.9), 12))
 _LOG_DELTA_GRID = np.linspace(math.log(1e-6), math.log(0.3), 16)
+# the two refinement rounds: 5 x 5 points around the best so far, spaced a
+# quarter, then a sixteenth of the coarse grid's spacing; flattened, alpha
+# offsets repeat and log delta offsets cycle, in (alpha, log delta) order
+_REFINE_OFFSETS = [(np.repeat(math.log(_ALPHA_GRID[1] / _ALPHA_GRID[0]) / 4.0 ** k
+                              * np.arange(-2, 3), 5),
+                    np.tile((_LOG_DELTA_GRID[1] - _LOG_DELTA_GRID[0]) / 4.0 ** k
+                            * np.arange(-2, 3), 5))
+                   for k in (1, 2)]
+_COARSE_LOG_ALPHAS = np.log(_ALPHA_GRID)[:, None]
+_COARSE_DELTAS = np.exp(_LOG_DELTA_GRID)
+# alpha and log delta of each coarse point, in the flattened grid's order
+_COARSE_ALPHAS = np.repeat(_ALPHA_GRID, _LOG_DELTA_GRID.size)
+_COARSE_LOG_DELTAS = np.tile(_LOG_DELTA_GRID, _ALPHA_GRID.size)
+_DEEP_ALPHAS = np.concatenate([_ALPHA_GRID, np.linspace(0.3, 0.9, 7)])
+_DEEP_LOG_ALPHAS = np.log(_DEEP_ALPHAS)
 
 
-def _margin_grid(space: ConeSpace, alphas, log_deltas):
-    n = space.n
-    p = _decay_power(space)
-    la = np.log(alphas)[:, None]
-    ld = np.asarray(log_deltas)[None, :]
-    an = np.exp(n * la)
-    x = np.exp(2.0 * (ld + math.log(space.lam))) / la**2
-    sin_d = np.sin(np.exp(ld))
-    return (an * sin_d**p - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
+def _deep_log_deltas() -> np.ndarray:
+    """log(1e-6) * 1.5^k, k = 1, 2, ..., up to the first step past -2e6."""
+    steps, log_delta = [], math.log(1e-6)
+    while log_delta > -2e6:
+        log_delta *= 1.5
+        steps.append(log_delta)
+    return np.array(steps)
+
+
+_DEEP_LOG_DELTAS = _deep_log_deltas()
+
+
+def search_competitors(n: int, lams, budget: int = 20000) -> Searches:
+    """Maximize the bound's margin over the junction parameters, for every lambda.
+
+    Coarse log grid with two local refinement rounds; where that finds no
+    positive margin, a deep sweep pushes the junction angle toward zero in
+    log space, where the margin sign is still exactly decidable even after
+    the angle itself underflows.  Each lambda's evaluations count toward its
+    own ``budget``: a round or sweep step starts only while the count is
+    below it.  Ties go to the first point in (alpha, log delta) order.
+    """
+    lams = np.asarray(lams, dtype=float)
+    size = lams.size
+    rows = np.arange(size)
+    p = n * lams / math.sqrt(n - 1)
+
+    m = _margin(n, lams[:, None, None], p[:, None, None], _COARSE_LOG_ALPHAS, _COARSE_DELTAS)
+    m = m.reshape(size, _COARSE_ALPHAS.size)
+    best = m.argmax(axis=1)
+    margin = m[rows, best]
+    alpha, log_delta = _COARSE_ALPHAS[best], _COARSE_LOG_DELTAS[best]
+    evals = np.full(size, m.shape[1])
+
+    for a_offsets, d_offsets in _REFINE_OFFSETS:
+        alphas = np.exp(np.log(alpha)[:, None] + a_offsets)
+        log_deltas = log_delta[:, None] + d_offsets
+        # points with alpha >= 1 are skipped, and so are rows past the
+        # budget; delta stays below 0.3 * e^0.53 < pi/2
+        ok = (alphas < 1.0) & (evals < budget)[:, None]
+        m = _margin(n, lams[:, None], p[:, None], np.log(np.where(ok, alphas, 0.5)),
+                    np.exp(log_deltas))
+        m = np.where(ok, m, -np.inf)
+        evals = evals + ok.sum(axis=1)
+        best = m.argmax(axis=1)
+        candidate = m[rows, best]
+        better = candidate > margin
+        margin = np.maximum(candidate, margin)
+        alpha = np.where(better, alphas[rows, best], alpha)
+        log_delta = np.where(better, log_deltas[rows, best], log_delta)
+
+    found = margin > 0.0
+    todo = (~found).nonzero()[0]
+    if todo.size:
+        n_alphas = _DEEP_ALPHAS.size
+        # a sweep step starts only while the row is within its budget
+        allowed = np.minimum(np.maximum((budget - evals[todo] + n_alphas - 1) // n_alphas, 0),
+                             _DEEP_LOG_DELTAS.size)
+        step, best = _deep_sweep(n, lams[todo], p[todo], allowed)
+        hit = step >= 0
+        evals[todo] += n_alphas * np.where(hit, step + 1, allowed)
+        todo, step, best = todo[hit], step[hit], best[hit]
+        found[todo] = True
+        alpha[todo] = _DEEP_ALPHAS[best]
+        log_delta[todo] = _DEEP_LOG_DELTAS[step]
+        # delta underflows to 0.0 below log delta ~ -745, and the margin with it
+        margin[todo] = _margin(n, lams[todo], p[todo], _DEEP_LOG_ALPHAS[best],
+                               np.exp(log_delta[todo]))
+    return Searches(found=found, alpha=alpha, log_delta=log_delta, margin=margin,
+                    evaluations=evals)
+
+
+def _deep_sweep(n: int, lams: np.ndarray, p: np.ndarray, allowed: np.ndarray):
+    """Each lambda's first step of _DEEP_LOG_DELTAS with a positive gap.
+
+    ``p`` holds the lambdas' decay powers.  Steps go over every deep alpha;
+    lambda i may take its first ``allowed[i]`` steps.  Returns the step and
+    the index of the alpha with the largest gap there, or step -1 where no
+    allowed step has a positive gap.  Steps are evaluated in chunks of
+    growing width, and a lambda leaves the sweep at its first hit, so that
+    most stop after one chunk.
+    """
+    step = np.full(lams.size, -1)
+    best = np.zeros(lams.size, dtype=int)
+    todo = np.arange(lams.size)
+    lo, width = 0, 4
+    while todo.size and lo < _DEEP_LOG_DELTAS.size:
+        gaps = _log_margin(n, lams[todo, None, None], p[todo, None, None],
+                           _DEEP_LOG_DELTAS[lo:lo + width, None], _DEEP_LOG_ALPHAS)
+        hit = ((gaps > 0.0).any(axis=2)
+               & (np.arange(lo, lo + gaps.shape[1]) < allowed[todo, None]))
+        got = hit.any(axis=1)
+        first = hit.argmax(axis=1)[got]
+        step[todo[got]] = lo + first
+        best[todo[got]] = gaps[got, first].argmax(axis=1)
+        lo, width = lo + width, 2 * width
+        todo = todo[~got & (allowed[todo] > lo)]
+    return step, best
 
 
 def competitor_search(space: ConeSpace, budget: int = 20000) -> SearchResult:
-    """Maximize the bound's margin over the junction parameters.
-
-    Coarse log grid with two local refinement rounds; when that finds no
-    positive margin, a deep sweep pushes the junction angle toward zero in
-    log space, where the margin sign is still exactly decidable even after
-    the angle itself underflows.
-    """
-    evals = 0
-    alphas = _ALPHA_GRID
-    log_deltas = _LOG_DELTA_GRID
-    a_step = math.log(alphas[1] / alphas[0])
-    d_step = log_deltas[1] - log_deltas[0]
-
-    best = (-math.inf, alphas[0], log_deltas[0])
-    for _ in range(3):  # coarse pass + two refinement rounds
-        m = _margin_grid(space, alphas, log_deltas)
-        evals += m.size
-        i, j = np.unravel_index(np.argmax(m), m.shape)
-        if m[i, j] > best[0]:
-            best = (float(m[i, j]), float(alphas[i]), float(log_deltas[j]))
-        if evals >= budget:
-            break
-        a_step, d_step = a_step / 4.0, d_step / 4.0
-        la0, ld0 = math.log(best[1]), best[2]
-        alphas = np.exp(la0 + a_step * np.arange(-2, 3))
-        alphas = alphas[(alphas > 0.0) & (alphas < 1.0)]
-        log_deltas = ld0 + d_step * np.arange(-2, 3)
-        log_deltas = log_deltas[log_deltas < math.log(HALF_PI)]
-
-    margin, alpha, log_delta = best
-    if margin > 0.0:
-        delta = math.exp(log_delta)
-        return SearchResult(found=True, delta=delta, log_delta=log_delta,
-                            alpha=alpha, bound=exp_profile_bound(space, delta, alpha),
-                            margin=margin,
-                            log_margin_gap=exp_profile_log_margin(space, log_delta, alpha),
-                            evaluations=evals)
-
-    # deep sweep: push the junction angle toward zero in log space
-    deep_alphas = np.concatenate([_ALPHA_GRID, np.linspace(0.3, 0.9, 7)])
-    log_delta = math.log(1e-6)
-    best_deep = None
-    while evals < budget and log_delta > -2e6:
-        log_delta *= 1.5
-        for alpha in deep_alphas:
-            gap = exp_profile_log_margin(space, log_delta, float(alpha))
-            evals += 1
-            if gap > 0.0 and (best_deep is None or gap > best_deep[0]):
-                best_deep = (gap, float(alpha), log_delta)
-        if best_deep is not None:
-            break
-
-    if best_deep is None:
-        delta = math.exp(log_delta) if log_delta > -700.0 else 0.0
-        return SearchResult(found=False, delta=math.exp(best[2]), log_delta=best[2],
-                            alpha=alpha, bound=exp_profile_bound(space, math.exp(best[2]), alpha),
-                            margin=margin, log_margin_gap=-math.inf, evaluations=evals)
-
-    gap, alpha, log_delta = best_deep
-    delta = math.exp(log_delta) if log_delta > -700.0 else 0.0
-    if delta > 0.0:
-        margin = exp_profile_margin(space, delta, alpha)
-        bound = 1.0 / space.n - margin
-    else:
-        margin, bound = 0.0, 1.0 / space.n
-    return SearchResult(found=True, delta=delta, log_delta=log_delta, alpha=alpha,
-                        bound=bound, margin=margin, log_margin_gap=gap,
-                        evaluations=evals)
+    """``search_competitors`` for one cone, with the witness's delta, bound and log gap."""
+    s = search_competitors(space.n, [space.lam], budget)
+    found = bool(s.found[0])
+    alpha, log_delta, margin = float(s.alpha[0]), float(s.log_delta[0]), float(s.margin[0])
+    return SearchResult(found=found, delta=math.exp(log_delta), log_delta=log_delta,
+                        alpha=alpha, bound=1.0 / space.n - margin, margin=margin,
+                        log_margin_gap=(exp_profile_log_margin(space, log_delta, alpha)
+                                        if found else -math.inf),
+                        evaluations=int(s.evaluations[0]))

@@ -16,11 +16,21 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .competitors import competitor_search
+import numpy as np
+
+from .competitors import competitor_search, search_competitors  # noqa: F401
 from .geometry import ConeSpace
-from .shooting import barrier_certificate, barrier_slope
+from .shooting import barrier_certificate, barrier_margins  # noqa: F401
+
+# competitor_search and barrier_certificate, the single-point forms of the
+# certificates _decide_block computes, are not called here; they stay phase
+# attributes for callers that import or patch them through this module.
 
 _BARRIER_MARGIN_TOL = 1e-12  # the degenerate double root c=1 rounds to ~0 margin
+
+# lambdas decided together: the barrier's (lambda x theta) temporaries stay
+# near 1 MB at 1000 samples
+_SLICE = 128
 
 
 class Verdict(Enum):
@@ -68,42 +78,66 @@ def decide(space: ConeSpace, mode: str = "certified") -> Decision:
     Undetermined is possible.  Formula-only mode compares lambda against
     the closed-form threshold.
     """
-    lam_star = threshold(space.n)
-    if mode == "formula-only":
-        margin = space.lam - lam_star
-        verdict = Verdict.MINIMIZING if margin >= 0.0 else Verdict.NOT_MINIMIZING
-        return Decision(verdict=verdict, certificate=Certificate.THRESHOLD_FORMULA,
-                        margin=margin)
-    if mode != "certified":
+    return _decide_block(space.n, np.array([space.lam]), mode)[0]
+
+
+# (verdict, certificate, diagnostics) of each path of a certified decision
+_OUTCOMES = (
+    (Verdict.MINIMIZING, Certificate.BARRIER_LINE, ""),
+    (Verdict.NOT_MINIMIZING, Certificate.COMPETITOR_FOUND, ""),
+    (Verdict.UNDETERMINED, None, "both certificates failed"),
+)
+_BARRIER, _COMPETITOR, _NEITHER = range(3)
+
+
+def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
+    """``decide`` for every lambda of one n at once, in the order given.
+
+    Barrier line first, then the competitor search on what it leaves, then
+    Undetermined.
+    """
+    if mode not in ("certified", "formula-only"):
         raise ValueError(f"mode must be 'certified' or 'formula-only', got {mode!r}")
-
+    offsets = lams - threshold(n)
+    if mode == "formula-only":
+        return [Decision(verdict=Verdict.MINIMIZING if m >= 0.0 else Verdict.NOT_MINIMIZING,
+                         certificate=Certificate.THRESHOLD_FORMULA, margin=m)
+                for m in offsets.tolist()]
     try:
-        if barrier_slope(space) is not None:
-            cert = barrier_certificate(space)
-            if cert.margin >= -_BARRIER_MARGIN_TOL:
-                return Decision(verdict=Verdict.MINIMIZING,
-                                certificate=Certificate.BARRIER_LINE,
-                                margin=cert.margin)
-        result = competitor_search(space)
-        if result.found:
-            return Decision(verdict=Verdict.NOT_MINIMIZING,
-                            certificate=Certificate.COMPETITOR_FOUND,
-                            margin=result.margin)
-        return Decision(verdict=Verdict.UNDETERMINED, certificate=None,
-                        margin=space.lam - lam_star,
-                        diagnostics="both certificates failed")
+        barrier = barrier_margins(n, lams)
+        path = np.where(barrier >= -_BARRIER_MARGIN_TOL, _BARRIER, _NEITHER)
+        margins = np.where(path == _BARRIER, barrier, offsets)
+        rest = np.flatnonzero(path == _NEITHER)
+        if rest.size:
+            search = search_competitors(n, lams[rest])
+            found = rest[search.found]
+            path[found] = _COMPETITOR
+            margins[found] = search.margin[search.found]
     except Exception as exc:  # numeric failures downgrade, the scan continues
-        return Decision(verdict=Verdict.UNDETERMINED, certificate=None,
-                        margin=space.lam - lam_star, diagnostics=str(exc))
+        return [Decision(verdict=Verdict.UNDETERMINED, certificate=None, margin=m,
+                         diagnostics=str(exc)) for m in offsets.tolist()]
+    outcomes = [_OUTCOMES[k] for k in path.tolist()]
+    return [Decision(verdict, cert, m, diagnostics)
+            for (verdict, cert, diagnostics), m in zip(outcomes, margins.tolist())]
 
 
-def _scan_point(args) -> ScanRecord:
-    n, lam, mode, measure_time = args
+def _scan_block(args) -> list[ScanRecord]:
+    """Records for one n over every lambda, decided _SLICE lambdas at a time."""
+    n, lams, mode, measure_time = args
     start = time.perf_counter()
-    decision = decide(ConeSpace(n=n, lam=lam), mode=mode)
-    elapsed = int(round((time.perf_counter() - start) * 1000.0)) if measure_time else 0
-    return ScanRecord(n=n, lam=lam, decision=decision,
-                      lambda_star=threshold(n), wall_time_ms=elapsed)
+    for lam in lams:
+        ConeSpace(n=n, lam=lam)   # rejects a lambda outside (0, 1]
+    if not lams:
+        return []
+    grid = np.array(lams)
+    decisions = []
+    for i in range(0, len(lams), _SLICE):
+        decisions.extend(_decide_block(n, grid[i:i + _SLICE], mode))
+    # the block's time spread evenly over its points
+    ms = int(round((time.perf_counter() - start) * 1000.0 / len(lams))) if measure_time else 0
+    lam_star = threshold(n)
+    return [ScanRecord(n=n, lam=lam, decision=d, lambda_star=lam_star, wall_time_ms=ms)
+            for lam, d in zip(lams, decisions)]
 
 
 def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
@@ -111,17 +145,20 @@ def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
          measure_time: bool = True) -> list[ScanRecord]:
     """Decide every point of the grid; output sorted by (n, lambda).
 
-    Points are independent; with parallelism > 1 they fan out over a process
-    pool and are re-sorted afterwards, so the ordering never depends on the
-    worker count.  Set measure_time=False for byte-reproducible output.
+    Each n's lambdas are decided together, in array slices.  With
+    parallelism > 1 the n-blocks fan out over a process pool; the output is
+    sorted afterwards, so its order never depends on the worker count.
+    wall_time_ms is each n-block's time spread evenly over its points; set
+    measure_time=False for byte-reproducible output.
     """
-    points = [(int(n), float(lam), mode, measure_time)
-              for n in n_range for lam in lambda_grid]
-    if parallelism > 1 and len(points) > 1:
+    lams = [float(lam) for lam in lambda_grid]
+    blocks = [(int(n), lams, mode, measure_time) for n in n_range]
+    if parallelism > 1 and len(blocks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_scan_point, points, chunksize=16))
+            parts = list(pool.map(_scan_block, blocks))
     else:
-        records = [_scan_point(p) for p in points]
+        parts = [_scan_block(block) for block in blocks]
+    records = [rec for part in parts for rec in part]
     records.sort(key=lambda r: (r.n, r.lam))
     return records
 
@@ -164,11 +201,11 @@ def emit(records: Sequence[ScanRecord], format: str, path) -> None:
     if format == "csv":
         lines = [_CSV_HEADER, ",".join(_COLUMNS)]
         for rec in records:
-            r = _row(rec)
-            lines.append(",".join([
-                str(r["n"]), repr(r["lambda"]), r["verdict"], r["certificate"],
-                repr(r["margin"]), repr(r["lambda_star"]), str(r["wall_time_ms"]),
-            ]))
+            d = rec.decision
+            # _value_ is the member's value without the ``value`` property's call
+            cert = "" if d.certificate is None else d.certificate._value_
+            lines.append(f"{rec.n},{rec.lam!r},{d.verdict._value_},{cert},"
+                         f"{d.margin!r},{rec.lambda_star!r},{rec.wall_time_ms}")
         text = "\n".join(lines) + "\n"
     elif format == "json":
         text = json.dumps([_row(rec) for rec in records], indent=2) + "\n"

@@ -77,19 +77,65 @@ def h_rhs(theta: float, H: float, space: ConeSpace) -> float:
     return space.n * space.lam - (space.n - 1) * math.tan(theta) / math.tan(H)
 
 
+def _discriminant(n, nl):
+    """(n*lam)^2 - 4(n-1) from nl = n*lam, for floats or arrays.
+
+    Shared by barrier_roots and barrier_margins so that both round alike:
+    near lam* the sign of this rounding decides whether a line exists.
+    """
+    return nl * nl - 4.0 * (n - 1)
+
+
 def barrier_roots(space: ConeSpace):
     """Both roots of c^2 - n*lam*c + (n-1) = 0, or None below the discriminant."""
-    disc = (space.n * space.lam) ** 2 - 4.0 * (space.n - 1)
+    nl = space.n * space.lam
+    disc = _discriminant(space.n, nl)
     if disc < 0.0:
         return None
     s = math.sqrt(disc)
-    return ((space.n * space.lam - s) / 2.0, (space.n * space.lam + s) / 2.0)
+    return ((nl - s) / 2.0, (nl + s) / 2.0)
 
 
 def barrier_slope(space: ConeSpace) -> Optional[float]:
     """Larger root of c = n*lam - (n-1)/c, when real (n*lam >= 2 sqrt(n-1))."""
     roots = barrier_roots(space)
     return None if roots is None else roots[1]
+
+
+def _barrier_lines(n: int, lams: np.ndarray, cs: np.ndarray, samples: int):
+    """Sample angles and H' along the lines H = c*theta, one row per lambda.
+
+    The samples split (0, theta_max) evenly, theta_max = pi/2 * min(1, 1/c)
+    keeping c*theta inside (0, pi/2).
+    """
+    theta_max = HALF_PI * np.minimum(1.0, 1.0 / cs)
+    thetas = theta_max[:, None] * np.arange(1, samples + 1) / (samples + 1)
+    # rhs = n*lam - (n-1) tan(theta) / tan(c theta), computed in place
+    rhs = np.tan(thetas)
+    rhs *= n - 1
+    c_thetas = cs[:, None] * thetas
+    rhs /= np.tan(c_thetas, out=c_thetas)
+    np.subtract((n * lams)[:, None], rhs, out=rhs)
+    return thetas, rhs
+
+
+def barrier_margins(n: int, lams, samples: int = 1000) -> np.ndarray:
+    """Barrier margin of ``barrier_certificate`` for every lambda at once.
+
+    NaN where n*lam < 2 sqrt(n-1): no barrier line exists there.  The sample
+    array has ``samples`` columns per lambda, so callers bound its size by
+    the number of lambdas they pass.
+    """
+    lams = np.asarray(lams, dtype=float)
+    nl = n * lams
+    disc = _discriminant(n, nl)
+    real = disc >= 0.0
+    cs = (nl[real] + np.sqrt(disc[real])) / 2.0
+    _, rhs = _barrier_lines(n, lams[real], cs, samples)
+    rhs -= cs[:, None]
+    margins = np.full(lams.shape, np.nan)
+    margins[real] = rhs.min(axis=1)
+    return margins
 
 
 def barrier_certificate(space: ConeSpace, samples: int = 1000) -> BarrierCertificate:
@@ -101,11 +147,9 @@ def barrier_certificate(space: ConeSpace, samples: int = 1000) -> BarrierCertifi
     c = barrier_slope(space)
     if c is None:
         raise ValueError("no barrier slope: n*lam < 2 sqrt(n-1)")
-    theta_max = HALF_PI * min(1.0, 1.0 / c)
-    thetas = theta_max * np.arange(1, samples + 1) / (samples + 1)
-    rhs = space.n * space.lam - (space.n - 1) * np.tan(thetas) / np.tan(c * thetas)
-    return BarrierCertificate(c=c, thetas=thetas, rhs_values=rhs,
-                              margin=float(np.min(rhs - c)))
+    thetas, rhs = _barrier_lines(space.n, np.array([space.lam]), np.array([c]), samples)
+    return BarrierCertificate(c=c, thetas=thetas[0], rhs_values=rhs[0],
+                              margin=float(np.min(rhs[0] - c)))
 
 
 def boundary_flux(A: float, space: ConeSpace) -> float:

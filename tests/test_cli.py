@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conelab import phase
 from conelab.cli import main
 
 
@@ -92,6 +93,22 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     main(["--config", str(cfg), "scan", "--n", "3", "--lambda-min", "0.93",
           "--lambda-max", "0.96", "--lambda-points", "6"])
     assert capsys.readouterr().out.count("lambda=") == 6
+
+
+def test_config_turns_timing_off(tmp_path, monkeypatch, capsys):
+    calls = []
+    scan = phase.scan
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs["measure_time"])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(phase, "scan", recorded)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no-timing": True, "lambda-points": 3}))
+    main(["--config", str(cfg), "scan", "--n", "3"])
+    main(["scan", "--n", "3", "--lambda-points", "3"])
+    assert calls == [False, True]
 
 
 def test_missing_command_rejected():

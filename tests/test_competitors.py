@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,36 @@ class TestSearch:
     def test_finds_below_threshold_n5(self):
         res = competitor_search(ConeSpace(5, 0.79))
         assert res.found and res.margin > 0.0
+
+    def test_not_found_reports_the_grid_optimum(self):
+        # alpha, delta, bound and margin all describe one point of the grid
+        space = ConeSpace(3, 0.95)
+        res = competitor_search(space)
+        assert not res.found
+        assert type(res.alpha) is float and type(res.log_delta) is float
+        assert res.delta == math.exp(res.log_delta)
+        assert res.margin == pytest.approx(
+            exp_profile_margin(space, res.delta, res.alpha), rel=1e-12)
+        assert res.bound == pytest.approx(
+            exp_profile_bound(space, res.delta, res.alpha), abs=1e-15)
+        assert res.bound == 1.0 / 3.0 - res.margin
+
+    def test_log_gap_matches_mpmath(self):
+        # a grid witness with log delta in (-14, -5), where log sin(delta)
+        # differs from log delta by delta^2/6
+        space = ConeSpace(5, 0.592)
+        res = competitor_search(space)
+        assert res.found and -14.0 < res.log_delta < -5.0
+        with mpmath.workdps(50):
+            lam, alpha = mpmath.mpf(space.lam), mpmath.mpf(res.alpha)
+            delta = mpmath.exp(mpmath.mpf(res.log_delta))
+            p = space.n * lam / mpmath.sqrt(space.n - 1)
+            x = (lam * delta / mpmath.log(alpha)) ** 2
+            an = alpha ** space.n
+            gain = an * mpmath.sin(delta) ** p
+            cost = (1 - an) * x / (mpmath.sqrt(1 + x) + 1)
+            exact = float(mpmath.log(gain) - mpmath.log(cost))
+        assert abs(res.log_margin_gap - exact) <= 1e-12
 
     def test_budget_respected(self):
         res = competitor_search(ConeSpace(2, 0.9), budget=100)

@@ -1,9 +1,13 @@
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conelab import phase
+from conelab.competitors import competitor_search
 from conelab.geometry import ConeSpace
 from conelab.phase import (Certificate, Verdict, decide, emit,
                            empirical_threshold, parse_csv, scan, threshold)
@@ -91,6 +95,37 @@ class TestScan:
         recs = scan([3], [0.99])
         with pytest.raises(ValueError):
             empirical_threshold(recs, 3)
+
+    def test_out_of_range_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            scan([3], [0.9, 1.5])
+
+    def test_block_matches_pointwise_decide(self):
+        # one n-block longer than a slice, mixing every decision path:
+        # barrier, competitor grid, deep sweep and Undetermined
+        star = threshold(4)
+        lams = [float(x) for x in np.linspace(0.6, 1.0, 150)]
+        lams += [star, star - 1e-9, star - 1e-6, star + 1e-9]
+        assert len(lams) > phase._SLICE
+        paths = Counter()
+        for rec in scan([4], lams, measure_time=False):
+            d = decide(ConeSpace(4, rec.lam))
+            assert rec.decision == d, rec.lam
+            if d.certificate is Certificate.COMPETITOR_FOUND:
+                deep = competitor_search(ConeSpace(4, rec.lam)).log_delta < math.log(1e-8)
+                paths["deep" if deep else "grid"] += 1
+            else:
+                paths[d.certificate] += 1
+        assert set(paths) == {Certificate.BARRIER_LINE, "grid", "deep", None}
+
+    def test_wide_scan_verdicts_are_exact(self):
+        recs = scan(range(2, 7), np.linspace(0.5, 1.0, 2001), measure_time=False)
+        assert Counter(r.decision.verdict for r in recs) == {
+            Verdict.NOT_MINIMIZING: 7419, Verdict.MINIMIZING: 2586}
+        for r in recs:
+            # Minimizing iff (n lam)^2 >= 4(n-1), exactly on the double lambda
+            minimizing = (r.n * Fraction(r.lam)) ** 2 >= 4 * (r.n - 1)
+            assert (r.decision.verdict is Verdict.MINIMIZING) == minimizing, (r.n, r.lam)
 
     def test_parallel_matches_serial(self):
         grid = np.linspace(0.7, 1.0, 7)
