@@ -29,7 +29,7 @@ from .shooting import barrier_certificate, barrier_margins  # noqa: F401
 _BARRIER_MARGIN_TOL = 1e-12  # the degenerate double root c=1 rounds to ~0 margin
 
 # lambdas decided together: the barrier's (lambda x theta) temporaries stay
-# near 1 MB at 1000 samples
+# near 1 MB at shooting.BARRIER_SAMPLES = 1000 samples per lambda
 _SLICE = 128
 
 
@@ -94,7 +94,9 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
     """``decide`` for every lambda of one n at once, in the order given.
 
     Barrier line first, then the competitor search on what it leaves, then
-    Undetermined.
+    Undetermined.  If either certificate raises, the block is decided again
+    one lambda at a time, so only a lambda whose own decision raises becomes
+    Undetermined, with the exception's message as diagnostics.
     """
     if mode not in ("certified", "formula-only"):
         raise ValueError(f"mode must be 'certified' or 'formula-only', got {mode!r}")
@@ -114,8 +116,10 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
             path[found] = _COMPETITOR
             margins[found] = search.margin[search.found]
     except Exception as exc:  # numeric failures downgrade, the scan continues
-        return [Decision(verdict=Verdict.UNDETERMINED, certificate=None, margin=m,
-                         diagnostics=str(exc)) for m in offsets.tolist()]
+        if lams.size > 1:  # decide again point by point: only the failing lambda downgrades
+            return [d for i in range(lams.size) for d in _decide_block(n, lams[i:i + 1], mode)]
+        return [Decision(verdict=Verdict.UNDETERMINED, certificate=None,
+                         margin=float(offsets[0]), diagnostics=str(exc))]
     outcomes = [_OUTCOMES[k] for k in path.tolist()]
     return [Decision(verdict, cert, m, diagnostics)
             for (verdict, cert, diagnostics), m in zip(outcomes, margins.tolist())]

@@ -77,23 +77,23 @@ def h_rhs(theta: float, H: float, space: ConeSpace) -> float:
     return space.n * space.lam - (space.n - 1) * math.tan(theta) / math.tan(H)
 
 
-def _discriminant(n, nl):
-    """(n*lam)^2 - 4(n-1) from nl = n*lam, for floats or arrays.
+BARRIER_SAMPLES = 1000  # interior sample angles on each barrier line
 
-    Shared by barrier_roots and barrier_margins so that both round alike:
-    near lam* the sign of this rounding decides whether a line exists.
-    """
-    return nl * nl - 4.0 * (n - 1)
+
+def _larger_roots(n: int, lams: np.ndarray) -> np.ndarray:
+    """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where not real."""
+    nl = n * lams
+    disc = nl * nl - 4.0 * (n - 1)
+    real = disc >= 0.0
+    cs = np.full(lams.shape, np.nan)
+    cs[real] = (nl[real] + np.sqrt(disc[real])) / 2.0
+    return cs
 
 
 def barrier_roots(space: ConeSpace):
     """Both roots of c^2 - n*lam*c + (n-1) = 0, or None below the discriminant."""
-    nl = space.n * space.lam
-    disc = _discriminant(space.n, nl)
-    if disc < 0.0:
-        return None
-    s = math.sqrt(disc)
-    return ((nl - s) / 2.0, (nl + s) / 2.0)
+    c = float(_larger_roots(space.n, np.array([space.lam]))[0])
+    return None if math.isnan(c) else ((space.n - 1) / c, c)
 
 
 def barrier_slope(space: ConeSpace) -> Optional[float]:
@@ -102,54 +102,54 @@ def barrier_slope(space: ConeSpace) -> Optional[float]:
     return None if roots is None else roots[1]
 
 
-def _barrier_lines(n: int, lams: np.ndarray, cs: np.ndarray, samples: int):
-    """Sample angles and H' along the lines H = c*theta, one row per lambda.
+def _barrier_lines(n: int, lams: np.ndarray, samples: int):
+    """The barrier line H = c*theta of every lambda as (c, thetas, rhs, margin).
 
-    The samples split (0, theta_max) evenly, theta_max = pi/2 * min(1, 1/c)
-    keeping c*theta inside (0, pi/2).
+    c and margin hold one entry per lambda, NaN where n*lam < 2 sqrt(n-1)
+    and no line exists; thetas and rhs (H' along the line) hold one row per
+    line that exists.  The samples split (0, theta_max) evenly, theta_max =
+    pi/2 * min(1, 1/c) keeping c*theta inside (0, pi/2); the margin is the
+    least rhs - c over them.
     """
-    theta_max = HALF_PI * np.minimum(1.0, 1.0 / cs)
+    cs = _larger_roots(n, lams)
+    real = ~np.isnan(cs)
+    c = cs[real]
+    theta_max = HALF_PI * np.minimum(1.0, 1.0 / c)
     thetas = theta_max[:, None] * np.arange(1, samples + 1) / (samples + 1)
     # rhs = n*lam - (n-1) tan(theta) / tan(c theta), computed in place
     rhs = np.tan(thetas)
     rhs *= n - 1
-    c_thetas = cs[:, None] * thetas
+    c_thetas = c[:, None] * thetas
     rhs /= np.tan(c_thetas, out=c_thetas)
-    np.subtract((n * lams)[:, None], rhs, out=rhs)
-    return thetas, rhs
+    np.subtract((n * lams[real])[:, None], rhs, out=rhs)
+    margins = np.full(lams.shape, np.nan)
+    # rounding is monotone, so min(rhs) - c is the least of the rhs - c
+    margins[real] = rhs.min(axis=1) - c
+    return cs, thetas, rhs, margins
 
 
-def barrier_margins(n: int, lams, samples: int = 1000) -> np.ndarray:
+def barrier_margins(n: int, lams: np.ndarray) -> np.ndarray:
     """Barrier margin of ``barrier_certificate`` for every lambda at once.
 
-    NaN where n*lam < 2 sqrt(n-1): no barrier line exists there.  The sample
-    array has ``samples`` columns per lambda, so callers bound its size by
-    the number of lambdas they pass.
+    NaN where no barrier line exists.  The samples make BARRIER_SAMPLES
+    columns per lambda, so callers bound the temporaries' size by the number
+    of lambdas they pass.
     """
-    lams = np.asarray(lams, dtype=float)
-    nl = n * lams
-    disc = _discriminant(n, nl)
-    real = disc >= 0.0
-    cs = (nl[real] + np.sqrt(disc[real])) / 2.0
-    _, rhs = _barrier_lines(n, lams[real], cs, samples)
-    rhs -= cs[:, None]
-    margins = np.full(lams.shape, np.nan)
-    margins[real] = rhs.min(axis=1)
-    return margins
+    return _barrier_lines(n, np.asarray(lams, dtype=float), BARRIER_SAMPLES)[3]
 
 
-def barrier_certificate(space: ConeSpace, samples: int = 1000) -> BarrierCertificate:
+def barrier_certificate(space: ConeSpace,
+                        samples: int = BARRIER_SAMPLES) -> BarrierCertificate:
     """Check H' > c on the line H = c*theta at interior sample points.
 
     A positive minimum margin certifies that no trajectory can cross the
     line from left to right inside the working box.
     """
-    c = barrier_slope(space)
-    if c is None:
+    cs, thetas, rhs, margins = _barrier_lines(space.n, np.array([space.lam]), samples)
+    if math.isnan(cs[0]):
         raise ValueError("no barrier slope: n*lam < 2 sqrt(n-1)")
-    thetas, rhs = _barrier_lines(space.n, np.array([space.lam]), np.array([c]), samples)
-    return BarrierCertificate(c=c, thetas=thetas[0], rhs_values=rhs[0],
-                              margin=float(np.min(rhs[0] - c)))
+    return BarrierCertificate(c=float(cs[0]), thetas=thetas[0], rhs_values=rhs[0],
+                              margin=float(margins[0]))
 
 
 def boundary_flux(A: float, space: ConeSpace) -> float:

@@ -118,6 +118,31 @@ class TestScan:
                 paths[d.certificate] += 1
         assert set(paths) == {Certificate.BARRIER_LINE, "grid", "deep", None}
 
+    def test_failure_downgrades_only_its_lambda(self, monkeypatch):
+        # a search that raises at one lambda leaves the rest of the slice decided
+        lams = [0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0]
+        bad = 0.7
+        expected = [decide(ConeSpace(3, lam)) for lam in lams]
+        search = phase.search_competitors
+
+        def failing(n, block):
+            if bad in block:
+                raise ArithmeticError(f"no search at {bad}")
+            return search(n, block)
+
+        monkeypatch.setattr(phase, "search_competitors", failing)
+        for rec, d in zip(scan([3], lams, measure_time=False), expected):
+            if rec.lam == bad:
+                assert rec.decision.verdict is Verdict.UNDETERMINED
+                assert rec.decision.certificate is None
+                assert rec.decision.diagnostics == f"no search at {bad}"
+                assert rec.decision.margin == bad - threshold(3)
+            else:
+                assert rec.decision == d, rec.lam
+        # the lambdas decided alongside the failing one take both certificates
+        certs = {d.certificate for lam, d in zip(lams, expected) if lam != bad}
+        assert {Certificate.BARRIER_LINE, Certificate.COMPETITOR_FOUND} <= certs
+
     def test_wide_scan_verdicts_are_exact(self):
         recs = scan(range(2, 7), np.linspace(0.5, 1.0, 2001), measure_time=False)
         assert Counter(r.decision.verdict for r in recs) == {
