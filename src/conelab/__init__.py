@@ -8,6 +8,8 @@ competitor surfaces, the stability inequality, cone curvatures, and the
 monotonicity of density ratios.
 """
 
+from types import ModuleType as _ModuleType
+
 from .competitors import (CatenoidParams, ExpCompetitor, SearchResult,
                           catenoid_area_closed_form, catenoid_profile,
                           competitor_search, disk_profile, exp_profile,
@@ -33,4 +35,5 @@ from .stability import (InstabilityCertificate, TestFunctionEta,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

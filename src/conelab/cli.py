@@ -123,6 +123,7 @@ def _cmd_shoot(args) -> int:
     cfg = shooting.ShootConfig(rtol=args.rtol) if args.rtol else shooting.ShootConfig()
     outcome = shooting.shoot(space, args.h0, cfg)
     print(f"outcome: {outcome.kind.value}")
+    print(f"steps: {outcome.steps} accepted, {outcome.rejected} rejected")
     if outcome.theta_exit is not None:
         print(f"theta_exit: {outcome.theta_exit:.12g}")
     if outcome.f_end is not None:

@@ -49,7 +49,6 @@ class RadialProfile:
     hi: float
     eval: Callable[[float], float]
     deriv: Callable[[float], float]
-    kind: str = "closed-form"
     breakpoints: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -69,11 +68,6 @@ class RadialProfile:
         return cls(lo=lo, hi=hi, eval=lambda x: value, deriv=lambda x: 0.0)
 
     @classmethod
-    def from_callable(cls, f, df, lo, hi, breakpoints=(), kind="closed-form") -> "RadialProfile":
-        return cls(lo=lo, hi=hi, eval=f, deriv=df, kind=kind,
-                   breakpoints=tuple(sorted(breakpoints)))
-
-    @classmethod
     def from_samples(cls, xs: Sequence[float], fs: Sequence[float]) -> "RadialProfile":
         xs = np.asarray(xs, dtype=float)
         fs = np.asarray(fs, dtype=float)
@@ -86,8 +80,7 @@ class RadialProfile:
         spline = CubicSpline(xs, fs)
         dspline = spline.derivative()
         return cls(lo=float(xs[0]), hi=float(xs[-1]),
-                   eval=lambda x: float(spline(x)), deriv=lambda x: float(dspline(x)),
-                   kind="sampled")
+                   eval=lambda x: float(spline(x)), deriv=lambda x: float(dspline(x)))
 
     @classmethod
     def piecewise(cls, pieces: Sequence["RadialProfile"]) -> "RadialProfile":
@@ -113,7 +106,6 @@ class RadialProfile:
         return cls(lo=pieces[0].lo, hi=pieces[-1].hi,
                    eval=lambda x: _select(x).eval(x),
                    deriv=lambda x: _select(x).deriv(x),
-                   kind="piecewise",
                    breakpoints=tuple(sorted(set(breaks))))
 
 

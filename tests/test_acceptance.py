@@ -73,6 +73,23 @@ def test_criterion_3_closed_form_flux_oracle():
                f"(worst rel {worst:.2e} <= 1e-6)", ok)
 
 
+def test_criterion_3_flux_oracle_on_several_separatrices():
+    worst_area = worst_closed = 0.0
+    ok = True
+    for n, lam in ((2, 0.75), (2, 0.9), (3, 0.55), (3, 0.9)):
+        space = ConeSpace(n, lam)
+        hits = find_extending_shots(space, count=3)
+        ok &= len(hits) == 3
+        for H0, outcome in hits:
+            area, flux = flux_consistency(space, H0, outcome)
+            worst_area = max(worst_area, abs(area - flux) / flux)
+            worst_closed = max(worst_closed, abs(flux - math.cos(H0) / n))
+    ok &= worst_area <= 1e-6 and worst_closed <= 1e-12
+    _report(3, f"extending shots on 4 separatrices: quadrature area matches "
+               f"closed-form flux (worst rel {worst_area:.2e} <= 1e-6), flux "
+               f"matches cos(H0)/n (worst {worst_closed:.1e} <= 1e-12)", ok)
+
+
 def test_criterion_4_catenoid_expansion():
     alpha = 0.5
     target = alpha**2 * (1 + 1 / (-math.log(alpha)))  # ~0.61067

@@ -5,6 +5,8 @@ import pytest
 
 from conelab import phase
 from conelab.cli import main
+from conelab.geometry import ConeSpace
+from conelab.shooting import shoot
 
 
 def test_scan_prints_threshold(capsys):
@@ -38,6 +40,9 @@ def test_shoot_reports_outcome(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "ExitsAtCeiling" in out
     assert np.loadtxt(path).shape[1] == 3
+    outcome = shoot(ConeSpace(3, 0.95), 0.5)
+    assert (f"steps: {outcome.steps} accepted, {outcome.rejected} rejected"
+            in out)
 
 
 def test_competitor_direct_evaluation(capsys):
