@@ -19,7 +19,7 @@ from .errors import NumericError, QuadratureError
 from .geometry import (ConeSpace, CrossSectionCurvature, ExactCone,
                        RevolutionSurface, cone_ricci, cone_sectional,
                        density_ratio, equator_cone, hyperplane, sphere_area,
-                       unit_ball_volume)
+                       threshold_discriminant, unit_ball_volume)
 from .profiles import (LengthProfile, QuadratureConfig, RadialProfile,
                        graph_area, read_profile, s_functional, write_profile)
 from .phase import (Certificate, Decision, ScanRecord, Verdict, decide,

@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--output", default=None, help="write the report as JSON")
 
     p = sub.add_parser("stability", help="instability certificate for a 2-d cone")
@@ -147,10 +146,12 @@ def _cmd_competitor(args) -> int:
                   "margin": 1.0 / space.n - bound,
                   "verdict": "NotMinimizing" if bound < 1.0 / space.n else "Inconclusive"}
     else:
-        res = competitor_search(space, budget=args.budget or 20000)
+        res = competitor_search(space)
+        # log_delta and log_margin_gap still check a witness whose delta is 0.0
         report = {"n": space.n, "lambda": space.lam, "delta": res.delta,
-                  "alpha": res.alpha, "bound": res.bound, "numeric": None,
-                  "margin": res.margin,
+                  "log_delta": res.log_delta, "alpha": res.alpha, "bound": res.bound,
+                  "numeric": None, "margin": res.margin,
+                  "log_margin_gap": res.log_margin_gap,
                   "verdict": "NotMinimizing" if res.found else "Inconclusive"}
         if res.found and res.delta > 0.0:
             report["numeric"] = exp_profile_area(space, res.delta, res.alpha)

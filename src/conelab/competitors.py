@@ -10,6 +10,7 @@ competitor whose normalized area drops below 1/n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -18,7 +19,7 @@ from scipy import integrate, optimize
 from scipy.integrate import solve_ivp
 
 from .errors import NumericError
-from .geometry import ConeSpace
+from .geometry import ConeSpace, threshold_discriminant
 from .profiles import LengthProfile, QuadratureConfig, RadialProfile
 
 HALF_PI = math.pi / 2.0
@@ -217,17 +218,11 @@ class ExpCompetitor:
         return -math.log(self.alpha) / self.delta
 
 
-def _decay_power(space: ConeSpace) -> float:
-    return space.n * space.lam / math.sqrt(space.n - 1)
-
-
-def exp_profile_bound(space: ConeSpace, delta: float, alpha: float) -> float:
-    """Closed-form upper bound on the normalized area of the competitor."""
-    n = space.n
-    p = _decay_power(space)
-    x = (space.lam * delta / math.log(alpha)) ** 2
-    an = alpha**n
-    return ((1.0 - an) * math.sqrt(1.0 + x) + an - an * math.sin(delta) ** p) / n
+def _decay_power_minus_2(n: int, lams) -> np.ndarray:
+    """p - 2 = D / (sqrt(n-1) (n lam + 2 sqrt(n-1))) per lambda, D the threshold discriminant."""
+    lams = np.asarray(lams, dtype=float)
+    root = math.sqrt(n - 1)
+    return threshold_discriminant(n, lams) / (root * (n * lams + 2.0 * root))
 
 
 def _margin(n: int, lam, p, log_alpha, delta):
@@ -241,18 +236,27 @@ def _margin(n: int, lam, p, log_alpha, delta):
     return (an * np.sin(delta) ** p - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
 
 
-def _log_margin(n: int, lam, p, log_delta, log_alpha):
-    """log(gain) - log(cost) of ``_margin``; broadcasts over arrays."""
+def _log_margin(n: int, lam, p_minus_2, log_delta, log_alpha):
+    """log(gain) - log(cost) of ``_margin``; broadcasts over arrays.
+
+    Takes p - 2, not p: p log delta - 2 log delta would cancel every digit
+    at junctions like log delta = -1e17.
+    """
     # log sin(delta) = log delta + log(sin(delta)/delta).  The ratio rounds
     # to 1 below delta ~ 2.6e-8, so flooring delta at 1e-300 (it underflows
     # to 0 below log delta ~ -745) leaves log sin(delta) = log delta there.
     delta = np.maximum(np.exp(log_delta), 1e-300)
-    log_gain = n * log_alpha + p * (log_delta + np.log(np.sin(delta) / delta))
-    # cost = (1 - alpha^n)(sqrt(1+x) - 1),  x = (lam*delta/ln alpha)^2
-    log_x = 2.0 * (log_delta + np.log(lam) - np.log(-log_alpha))
-    log_cost = (np.log1p(-np.exp(n * log_alpha)) + log_x
-                - np.log(1.0 + np.sqrt(1.0 + np.exp(log_x))))
-    return log_gain - log_cost
+    # cost = (1 - alpha^n) x / (1 + sqrt(1+x)), x = (lam delta / ln alpha)^2;
+    # log x = 2 log delta + log_x_rest
+    log_x_rest = 2.0 * (np.log(lam) - np.log(-log_alpha))
+    return (p_minus_2 * log_delta + (2.0 + p_minus_2) * np.log(np.sin(delta) / delta)
+            + n * log_alpha - np.log1p(-np.exp(n * log_alpha)) - log_x_rest
+            + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
+
+
+def exp_profile_bound(space: ConeSpace, delta: float, alpha: float) -> float:
+    """Closed-form upper bound on the normalized area of the competitor."""
+    return 1.0 / space.n - exp_profile_margin(space, delta, alpha)
 
 
 def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
@@ -261,7 +265,8 @@ def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
     Accurate for junction angles far below the square root of machine
     epsilon, where the direct bound formula loses every significant digit.
     """
-    return float(_margin(space.n, space.lam, _decay_power(space), math.log(alpha), delta))
+    p = space.n * space.lam / math.sqrt(space.n - 1)
+    return float(_margin(space.n, space.lam, p, math.log(alpha), delta))
 
 
 def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> float:
@@ -271,29 +276,31 @@ def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> 
     the logarithm of the junction angle alone, so junctions far below the
     smallest positive double remain decidable.
     """
-    return float(_log_margin(space.n, space.lam, _decay_power(space), log_delta,
-                             math.log(alpha)))
+    p_minus_2 = _decay_power_minus_2(space.n, [space.lam])[0]
+    return float(_log_margin(space.n, space.lam, p_minus_2, log_delta, math.log(alpha)))
+
+
+def _g_integrand(t: float, n: int) -> float:
+    """g'(t) = 1/sqrt(cos^(2-2n)t - 1) of the competitor's tail exponent."""
+    # cos^(2-2n)t - 1 via expm1 so tiny t does not round cos t to 1
+    if t < 1e-4:
+        log_sec = t * t / 2.0 + t**4 / 12.0  # -log(cos t) to machine precision
+    else:
+        log_sec = -math.log(math.cos(t))
+    return 1.0 / math.sqrt(math.expm1((2 * n - 2) * log_sec))
 
 
 def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
-    """Integral of 1/sqrt(cos^(2-2n)t - 1) from delta to pi/2."""
+    """Integral of _g_integrand from delta to pi/2."""
     n = space.n
     if n == 2:
         # integrand is exactly cot(t)
         return -math.log(math.sin(delta))
 
-    def w(t):
-        # cos^(2-2n)t - 1 via expm1 so tiny t does not round cos t to 1
-        if t < 1e-4:
-            log_sec = t * t / 2.0 + t**4 / 12.0  # -log(cos t) to machine precision
-        else:
-            log_sec = -math.log(math.cos(t))
-        return 1.0 / math.sqrt(math.expm1((2 * n - 2) * log_sec))
-
     total = 0.0
     split = 1e-3
     if delta < split:
-        # w(t) = 1/(t sqrt(n-1)) + O(t) near zero; in tau = log t the leading
+        # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero; in tau = log t the leading
         # term integrates exactly and the remainder decays like e^(2 tau)
         lead = 1.0 / math.sqrt(n - 1.0)
         lo_tau, hi_tau = math.log(delta), math.log(split)
@@ -302,13 +309,14 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
         # the subtraction has a ~1e-9 relative noise floor; 1e-9 absolute in
         # the exponent keeps the resulting area accurate to ~1e-10
         val, _ = integrate.quad(
-            lambda tau: math.exp(tau) * w(math.exp(tau)) - lead,
+            lambda tau: math.exp(tau) * _g_integrand(math.exp(tau), n) - lead,
             rem_lo, hi_tau, epsabs=1e-9, epsrel=1e-8, limit=200)
         total += val
         lo = split
     else:
         lo = delta
-    val, _ = integrate.quad(w, lo, HALF_PI, epsabs=tol, epsrel=tol, limit=200)
+    val, _ = integrate.quad(_g_integrand, lo, HALF_PI, args=(n,), epsabs=tol, epsrel=tol,
+                            limit=200)
     return total + val
 
 
@@ -322,10 +330,7 @@ def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
                          eval=lambda th: math.exp(-mu * th),
                          deriv=lambda th: -mu * math.exp(-mu * th))
 
-    def dg(th, _y):
-        return [1.0 / math.sqrt(math.cos(th) ** (2 - 2 * n) - 1.0)]
-
-    sol = solve_ivp(dg, (delta, HALF_PI), [0.0], method="RK45",
+    sol = solve_ivp(lambda th, _y: [_g_integrand(th, n)], (delta, HALF_PI), [0.0], method="RK45",
                     rtol=1e-12, atol=1e-14, dense_output=True)
     if not sol.success:
         raise NumericError("competitor tail integration failed")
@@ -337,7 +342,7 @@ def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
         return alpha * math.exp(-space.lam * g(th))
 
     def tail_deriv(th):
-        return -space.lam * tail_eval(th) * dg(th, None)[0]
+        return -space.lam * tail_eval(th) * _g_integrand(th, n)
 
     tail = RadialProfile(lo=delta, hi=HALF_PI, eval=tail_eval, deriv=tail_deriv)
     return RadialProfile.piecewise([head, tail])
@@ -418,31 +423,23 @@ _COARSE_DELTAS = np.exp(_LOG_DELTA_GRID)
 # alpha and log delta of each coarse point, in the flattened grid's order
 _COARSE_ALPHAS = np.repeat(_ALPHA_GRID, _LOG_DELTA_GRID.size)
 _COARSE_LOG_DELTAS = np.tile(_LOG_DELTA_GRID, _ALPHA_GRID.size)
+# the closed-form junction's candidate alphas, and its log delta as a multiple of l*
 _DEEP_ALPHAS = np.concatenate([_ALPHA_GRID, np.linspace(0.3, 0.9, 7)])
-_DEEP_LOG_ALPHAS = np.log(_DEEP_ALPHAS)
+_JUNCTION_STRETCH = 1.5
+# log of the smallest normal double: a smaller delta is subnormal or 0.0
+_LOG_TINY = math.log(sys.float_info.min)
 
 
-def _deep_log_deltas() -> np.ndarray:
-    """log(1e-6) * 1.5^k, k = 1, 2, ..., up to the first step past -2e6."""
-    steps, log_delta = [], math.log(1e-6)
-    while log_delta > -2e6:
-        log_delta *= 1.5
-        steps.append(log_delta)
-    return np.array(steps)
-
-
-_DEEP_LOG_DELTAS = _deep_log_deltas()
-
-
-def search_competitors(n: int, lams, budget: int = 20000) -> Searches:
+def search_competitors(n: int, lams) -> Searches:
     """Maximize the bound's margin over the junction parameters, for every lambda.
 
-    Coarse log grid with two local refinement rounds; where that finds no
-    positive margin, a deep sweep pushes the junction angle toward zero in
-    log space, where the margin sign is still exactly decidable even after
-    the angle itself underflows.  Each lambda's evaluations count toward its
-    own ``budget``: a round or sweep step starts only while the count is
-    below it.  Ties go to the first point in (alpha, log delta) order.
+    Coarse log grid with two local refinement rounds.  Where that finds no
+    positive margin and p < 2, one closed-form junction decided by its log
+    gap: for tiny delta the gap is (p-2) l + C in l = log delta, with
+    C = n log alpha - log1p(-alpha^n) + 2 log(-log alpha) - 2 log lam + log 2,
+    and is 0 at l* = C / (2-p).  The deep alpha of largest C, and l = 1.5 l*
+    (gap ~ |C|/2) or the smallest normal delta where half that gap is left,
+    make the junction.  Ties go to the first point in (alpha, log delta) order.
     """
     lams = np.asarray(lams, dtype=float)
     size = lams.size
@@ -459,9 +456,8 @@ def search_competitors(n: int, lams, budget: int = 20000) -> Searches:
     for a_offsets, d_offsets in _REFINE_OFFSETS:
         alphas = np.exp(np.log(alpha)[:, None] + a_offsets)
         log_deltas = log_delta[:, None] + d_offsets
-        # points with alpha >= 1 are skipped, and so are rows past the
-        # budget; delta stays below 0.3 * e^0.53 < pi/2
-        ok = (alphas < 1.0) & (evals < budget)[:, None]
+        # points with alpha >= 1 are skipped; delta stays below 0.3 e^0.53 < pi/2
+        ok = alphas < 1.0
         m = _margin(n, lams[:, None], p[:, None], np.log(np.where(ok, alphas, 0.5)),
                     np.exp(log_deltas))
         m = np.where(ok, m, -np.inf)
@@ -476,55 +472,30 @@ def search_competitors(n: int, lams, budget: int = 20000) -> Searches:
     found = margin > 0.0
     todo = (~found).nonzero()[0]
     if todo.size:
-        n_alphas = _DEEP_ALPHAS.size
-        # a sweep step starts only while the row is within its budget
-        allowed = np.minimum(np.maximum((budget - evals[todo] + n_alphas - 1) // n_alphas, 0),
-                             _DEEP_LOG_DELTAS.size)
-        step, best = _deep_sweep(n, lams[todo], p[todo], allowed)
-        hit = step >= 0
-        evals[todo] += n_alphas * np.where(hit, step + 1, allowed)
-        todo, step, best = todo[hit], step[hit], best[hit]
+        p_minus_2 = _decay_power_minus_2(n, lams[todo])
+        todo, p_minus_2 = todo[p_minus_2 < 0.0], p_minus_2[p_minus_2 < 0.0]
+        evals[todo] += 1
+        la = np.log(_DEEP_ALPHAS)
+        c_alpha = n * la - np.log1p(-np.exp(n * la)) + 2.0 * np.log(-la)
+        k = int(c_alpha.argmax())
+        l_star = (c_alpha[k] - 2.0 * np.log(lams[todo]) + math.log(2.0)) / -p_minus_2
+        ld = _JUNCTION_STRETCH * l_star
+        # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
+        ld = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
+        hit = (ld < math.log(HALF_PI)) & (_log_margin(n, lams[todo], p_minus_2, ld, la[k]) > 0.0)
+        todo, ld = todo[hit], ld[hit]
         found[todo] = True
-        alpha[todo] = _DEEP_ALPHAS[best]
-        log_delta[todo] = _DEEP_LOG_DELTAS[step]
+        alpha[todo] = _DEEP_ALPHAS[k]
+        log_delta[todo] = ld
         # delta underflows to 0.0 below log delta ~ -745, and the margin with it
-        margin[todo] = _margin(n, lams[todo], p[todo], _DEEP_LOG_ALPHAS[best],
-                               np.exp(log_delta[todo]))
+        margin[todo] = _margin(n, lams[todo], p[todo], la[k], np.exp(ld))
     return Searches(found=found, alpha=alpha, log_delta=log_delta, margin=margin,
                     evaluations=evals)
 
 
-def _deep_sweep(n: int, lams: np.ndarray, p: np.ndarray, allowed: np.ndarray):
-    """Each lambda's first step of _DEEP_LOG_DELTAS with a positive gap.
-
-    ``p`` holds the lambdas' decay powers.  Steps go over every deep alpha;
-    lambda i may take its first ``allowed[i]`` steps.  Returns the step and
-    the index of the alpha with the largest gap there, or step -1 where no
-    allowed step has a positive gap.  Steps are evaluated in chunks of
-    growing width, and a lambda leaves the sweep at its first hit, so that
-    most stop after one chunk.
-    """
-    step = np.full(lams.size, -1)
-    best = np.zeros(lams.size, dtype=int)
-    todo = np.arange(lams.size)
-    lo, width = 0, 4
-    while todo.size and lo < _DEEP_LOG_DELTAS.size:
-        gaps = _log_margin(n, lams[todo, None, None], p[todo, None, None],
-                           _DEEP_LOG_DELTAS[lo:lo + width, None], _DEEP_LOG_ALPHAS)
-        hit = ((gaps > 0.0).any(axis=2)
-               & (np.arange(lo, lo + gaps.shape[1]) < allowed[todo, None]))
-        got = hit.any(axis=1)
-        first = hit.argmax(axis=1)[got]
-        step[todo[got]] = lo + first
-        best[todo[got]] = gaps[got, first].argmax(axis=1)
-        lo, width = lo + width, 2 * width
-        todo = todo[~got & (allowed[todo] > lo)]
-    return step, best
-
-
-def competitor_search(space: ConeSpace, budget: int = 20000) -> SearchResult:
+def competitor_search(space: ConeSpace) -> SearchResult:
     """``search_competitors`` for one cone, with the witness's delta, bound and log gap."""
-    s = search_competitors(space.n, [space.lam], budget)
+    s = search_competitors(space.n, [space.lam])
     found = bool(s.found[0])
     alpha, log_delta, margin = float(s.alpha[0]), float(s.log_delta[0]), float(s.margin[0])
     return SearchResult(found=found, delta=math.exp(log_delta), log_delta=log_delta,

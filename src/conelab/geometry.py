@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy import integrate, optimize
 
 from .errors import QuadratureError
@@ -36,6 +37,26 @@ class ConeSpace:
     @property
     def is_euclidean(self) -> bool:
         return self.lam == 1.0
+
+
+# the float D's rounding error is about 1.3e-15 (n-1): above this cut times
+# (n-1) its relative error is below 1e-5, and below it D is computed exactly
+_EXACT_DISCRIMINANT = 1e-9
+
+
+def threshold_discriminant(n: int, lams) -> np.ndarray:
+    """D = (n lam)^2 - 4(n-1) per lambda of a 1-d sequence; D >= 0 iff lam >= lam*.
+
+    Every D has the sign of the exact value on the double lambda: near 0 it
+    is ((n a)^2 - 4(n-1) b^2) / b^2 on lam = a/b in integers, rounded once.
+    """
+    lams = np.asarray(lams, dtype=float)
+    nl = n * lams
+    disc = nl * nl - 4.0 * (n - 1)
+    for i in np.flatnonzero(np.abs(disc) < _EXACT_DISCRIMINANT * (n - 1)):
+        a, b = float(lams[i]).as_integer_ratio()
+        disc[i] = ((n * a) ** 2 - 4 * (n - 1) * b * b) / (b * b)
+    return disc
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .competitors import competitor_search, search_competitors  # noqa: F401
+from .errors import NumericError
 from .geometry import ConeSpace
 from .shooting import barrier_certificate, barrier_margins  # noqa: F401
 
@@ -94,9 +95,10 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
     """``decide`` for every lambda of one n at once, in the order given.
 
     Barrier line first, then the competitor search on what it leaves, then
-    Undetermined.  If either certificate raises, the block is decided again
-    one lambda at a time, so only a lambda whose own decision raises becomes
-    Undetermined, with the exception's message as diagnostics.
+    Undetermined.  If either certificate raises NumericError, ValueError or
+    ArithmeticError, the block is decided again one lambda at a time, so only
+    a lambda whose own decision raises becomes Undetermined, with the
+    exception's message as diagnostics; other exceptions propagate.
     """
     if mode not in ("certified", "formula-only"):
         raise ValueError(f"mode must be 'certified' or 'formula-only', got {mode!r}")
@@ -115,7 +117,7 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
             found = rest[search.found]
             path[found] = _COMPETITOR
             margins[found] = search.margin[search.found]
-    except Exception as exc:  # numeric failures downgrade, the scan continues
+    except (NumericError, ValueError, ArithmeticError) as exc:  # the scan continues
         if lams.size > 1:  # decide again point by point: only the failing lambda downgrades
             return [d for i in range(lams.size) for d in _decide_block(n, lams[i:i + 1], mode)]
         return [Decision(verdict=Verdict.UNDETERMINED, certificate=None,

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import NumericError
-from .geometry import ConeSpace
+from .geometry import ConeSpace, threshold_discriminant
 from .profiles import QuadratureConfig, RadialProfile, s_functional
 
 HALF_PI = math.pi / 2.0
@@ -86,9 +86,9 @@ BARRIER_SAMPLES = 1000  # interior sample angles on each barrier line
 
 
 def _larger_roots(n: int, lams: np.ndarray) -> np.ndarray:
-    """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where not real."""
+    """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where the exact D < 0."""
     nl = n * lams
-    disc = nl * nl - 4.0 * (n - 1)
+    disc = threshold_discriminant(n, lams)
     real = disc >= 0.0
     cs = np.full(lams.shape, np.nan)
     cs[real] = (nl[real] + np.sqrt(disc[real])) / 2.0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ def test_competitor_search_report(tmp_path, capsys):
     main(["competitor", "--n", "5", "--lam", "0.81", "--output", str(path)])
     report = json.loads(path.read_text())
     assert report["verdict"] == "Inconclusive"
+    assert report["log_margin_gap"] == -math.inf
+    assert report["delta"] == math.exp(report["log_delta"])
+    # a junction below the smallest double: delta reads 0.0, the logs carry it
+    main(["competitor", "--n", "2", "--lam", "0.9999", "--output", str(path)])
+    report = json.loads(path.read_text())
+    assert report["verdict"] == "NotMinimizing"
+    assert report["delta"] == 0.0 and report["log_delta"] < -745.0
+    assert report["log_margin_gap"] > 0.0
+    assert "log_delta:" in capsys.readouterr().out
 
 
 def test_stability_output(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.competitors import (CatenoidParams, ExpCompetitor,
+from conelab.competitors import (CatenoidParams, ExpCompetitor, _g_to_half_pi,
                                  catenoid_area_closed_form, catenoid_profile,
                                  catenoid_residuals, check_length_profile,
                                  competitor_search, disk_profile, exp_profile,
@@ -190,6 +190,15 @@ class TestExpArea:
             via_functional = s_functional(exp_profile(space, delta, alpha), space)
             assert direct == pytest.approx(via_functional, abs=1e-11)
 
+    def test_tail_at_tiny_junction(self):
+        # the tail integrates the expm1 form of g', which stays finite where
+        # cos^(2-2n) - 1 would round to 0
+        space = ConeSpace(3, 0.9)
+        for delta in (1e-9, 1e-12):
+            f = exp_profile(space, delta, 0.5)
+            expected = 0.5 * math.exp(-space.lam * _g_to_half_pi(space, delta))
+            assert f(HALF_PI) == pytest.approx(expected, rel=1e-9)
+
     def test_junction_continuity(self):
         f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)
         assert abs(f(0.01 - 1e-13) - f(0.01 + 1e-13)) < 1e-11
@@ -257,9 +266,28 @@ class TestSearch:
             exact = float(mpmath.log(gain) - mpmath.log(cost))
         assert abs(res.log_margin_gap - exact) <= 1e-12
 
-    def test_budget_respected(self):
-        res = competitor_search(ConeSpace(2, 0.9), budget=100)
-        assert res.evaluations <= 200  # one grid pass may finish the round
+    def test_closed_form_witness_one_ulp_below_threshold(self):
+        # log delta ~ -2e17, where p log delta and 2 log delta agree in every
+        # digit: the log gap must match a 60-digit recomputation to 1e-12 of
+        # its terms
+        n = 1000
+        lam = 2 * math.sqrt(n - 1) / n * (1 - 2.0 ** -52)
+        res = competitor_search(ConeSpace(n, lam))
+        assert res.found and res.delta == 0.0 and res.log_delta < -1e16
+        with mpmath.workdps(60):
+            lam_, alpha, log_delta = (mpmath.mpf(v) for v in (lam, res.alpha, res.log_delta))
+            p = n * lam_ / mpmath.sqrt(n - 1)
+            delta = mpmath.exp(log_delta)
+            x = (lam_ * delta / mpmath.log(alpha)) ** 2
+            log_gain = n * mpmath.log(alpha) + p * mpmath.log(mpmath.sin(delta))
+            log_cost = (mpmath.log(1 - alpha ** n) + mpmath.log(x)
+                        - mpmath.log(1 + mpmath.sqrt(1 + x)))
+            exact = log_gain - log_cost
+            terms = (abs((p - 2) * log_delta) + abs(n * mpmath.log(alpha))
+                     + abs(mpmath.log(1 - alpha ** n)) + 2 * abs(mpmath.log(lam_))
+                     + 2 * abs(mpmath.log(-mpmath.log(alpha))) + mpmath.log(2))
+            assert exact > 0
+            assert abs(res.log_margin_gap - exact) <= 1e-12 * terms
 
     def test_monotone_threshold_crossing(self):
         # found-flag flips once along a lambda sweep at fixed n

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conelab.geometry import (ConeSpace, CrossSectionCurvature, RevolutionSurface,
                               cone_ricci, cone_sectional, density_ratio,
                               equator_cone, hyperplane, sphere_area,
-                              unit_ball_volume)
+                              threshold_discriminant, unit_ball_volume)
 
 
 class TestConeSpace:
@@ -29,6 +30,21 @@ class TestConeSpace:
         assert c.sectional == 4.0
         assert c.ricci_diag == 3 * 4.0
         assert c.ricci_diag == (c.dim - 1) * c.sectional
+
+
+class TestThresholdDiscriminant:
+    def test_exact_next_to_threshold(self):
+        # the float (n lam)^2 - 4(n-1) rounds to 0 or below at some of these
+        for n in (4, 7, 10, 13, 17, 1000):
+            star = 2 * math.sqrt(n - 1) / n
+            lams = [star * (1 + k * 2.0 ** -52) for k in (-10, -1, 0, 1, 10)]
+            for lam, disc in zip(lams, threshold_discriminant(n, lams)):
+                exact = (n * Fraction(lam)) ** 2 - 4 * (n - 1)
+                assert disc == float(exact), (n, lam)
+
+    def test_float_value_away_from_threshold(self):
+        lams = np.linspace(0.1, 1.0, 19)
+        assert np.array_equal(threshold_discriminant(3, lams), (3 * lams) ** 2 - 8.0)
 
 
 class TestConeCurvature:

@@ -102,7 +102,7 @@ class TestScan:
 
     def test_block_matches_pointwise_decide(self):
         # one n-block longer than a slice, mixing every decision path:
-        # barrier, competitor grid, deep sweep and Undetermined
+        # barrier, competitor grid and the closed-form deep junction
         star = threshold(4)
         lams = [float(x) for x in np.linspace(0.6, 1.0, 150)]
         lams += [star, star - 1e-9, star - 1e-6, star + 1e-9]
@@ -116,7 +116,7 @@ class TestScan:
                 paths["deep" if deep else "grid"] += 1
             else:
                 paths[d.certificate] += 1
-        assert set(paths) == {Certificate.BARRIER_LINE, "grid", "deep", None}
+        assert set(paths) == {Certificate.BARRIER_LINE, "grid", "deep"}
 
     def test_failure_downgrades_only_its_lambda(self, monkeypatch):
         # a search that raises at one lambda leaves the rest of the slice decided
@@ -142,6 +142,29 @@ class TestScan:
         # the lambdas decided alongside the failing one take both certificates
         certs = {d.certificate for lam, d in zip(lams, expected) if lam != bad}
         assert {Certificate.BARRIER_LINE, Certificate.COMPETITOR_FOUND} <= certs
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only numeric failures downgrade to Undetermined
+        def broken(n, block):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(phase, "search_competitors", broken)
+        with pytest.raises(TypeError):
+            scan([3], [0.8, 0.9, 0.95])
+
+    def test_verdicts_exact_within_ulps_of_threshold(self):
+        # lambda* and lambda*(1 +- k 2^-52): every verdict certified, and
+        # Minimizing iff (n lam)^2 >= 4(n-1) exactly on the double lambda
+        certified = {Certificate.BARRIER_LINE, Certificate.COMPETITOR_FOUND}
+        for n in range(2, 1001):
+            star = threshold(n)
+            lams = {star} | {star * (1 + sign * k * 2.0 ** -52)
+                             for k in (1, 10, 10 ** 6) for sign in (-1, 1)}
+            for rec in scan([n], sorted(lam for lam in lams if lam <= 1.0),
+                            measure_time=False):
+                assert rec.decision.certificate in certified, (n, rec.lam)
+                minimizing = (n * Fraction(rec.lam)) ** 2 >= 4 * (n - 1)
+                assert (rec.decision.verdict is Verdict.MINIMIZING) == minimizing, (n, rec.lam)
 
     def test_wide_scan_verdicts_are_exact(self):
         recs = scan(range(2, 7), np.linspace(0.5, 1.0, 2001), measure_time=False)
