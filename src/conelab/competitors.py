@@ -3,8 +3,9 @@
 Two families: a catenoid neck glued to an exponentially decaying disk for
 2-dimensional surfaces, and an exponential spindle glued to an integral
 profile for radial graphs in any dimension.  Each carries a closed-form area
-(or upper bound) plus a quadrature route, and a parameter search looks for a
-competitor whose normalized area drops below 1/n.
+(or upper bound) plus a quadrature route.  Below the threshold one
+closed-form junction per lambda gives a competitor whose normalized area
+drops below 1/n.
 """
 
 from __future__ import annotations
@@ -282,12 +283,16 @@ def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> 
 
 def _g_integrand(t: float, n: int) -> float:
     """g'(t) = 1/sqrt(cos^(2-2n)t - 1) of the competitor's tail exponent."""
-    # cos^(2-2n)t - 1 via expm1 so tiny t does not round cos t to 1
+    # cos^(2-2n)t - 1 = expm1(a), a = (2n-2) log sec t, via expm1 so tiny t
+    # does not round cos t to 1; past a = 40, e^-a is below half an ulp of 1,
+    # so g' = e^(-a/2) / sqrt(1 - e^-a) is e^(-a/2), where expm1(a) would
+    # overflow near pi/2 for large n
     if t < 1e-4:
         log_sec = t * t / 2.0 + t**4 / 12.0  # -log(cos t) to machine precision
     else:
         log_sec = -math.log(math.cos(t))
-    return 1.0 / math.sqrt(math.expm1((2 * n - 2) * log_sec))
+    a = (2 * n - 2) * log_sec
+    return 1.0 / math.sqrt(math.expm1(a)) if a < 40.0 else math.exp(-0.5 * a)
 
 
 def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
@@ -379,26 +384,26 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# parameter search
+# the closed-form junction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SearchResult:
     found: bool
-    delta: float            # 0.0 when the best junction underflows a double
+    delta: float            # 0.0 when the junction underflows a double
     log_delta: float
     alpha: float
     bound: float
     margin: float
     log_margin_gap: float   # log(gain) - log(cost); > 0 iff bound < 1/n
-    evaluations: int
+    evaluations: int        # 1 where the junction's log gap was checked, else 0
 
 
 class Searches(NamedTuple):
     """``search_competitors``' result: one entry per lambda in each array.
 
-    Where nothing is found, alpha and log_delta are the grid's best point
-    and margin is its (negative) margin.
+    Where nothing is found, alpha, log_delta and margin still describe the
+    closed-form junction.
     """
 
     found: np.ndarray
@@ -408,89 +413,49 @@ class Searches(NamedTuple):
     evaluations: np.ndarray
 
 
-_ALPHA_GRID = np.exp(np.linspace(math.log(1e-4), math.log(0.9), 12))
-_LOG_DELTA_GRID = np.linspace(math.log(1e-6), math.log(0.3), 16)
-# the two refinement rounds: 5 x 5 points around the best so far, spaced a
-# quarter, then a sixteenth of the coarse grid's spacing; flattened, alpha
-# offsets repeat and log delta offsets cycle, in (alpha, log delta) order
-_REFINE_OFFSETS = [(np.repeat(math.log(_ALPHA_GRID[1] / _ALPHA_GRID[0]) / 4.0 ** k
-                              * np.arange(-2, 3), 5),
-                    np.tile((_LOG_DELTA_GRID[1] - _LOG_DELTA_GRID[0]) / 4.0 ** k
-                            * np.arange(-2, 3), 5))
-                   for k in (1, 2)]
-_COARSE_LOG_ALPHAS = np.log(_ALPHA_GRID)[:, None]
-_COARSE_DELTAS = np.exp(_LOG_DELTA_GRID)
-# alpha and log delta of each coarse point, in the flattened grid's order
-_COARSE_ALPHAS = np.repeat(_ALPHA_GRID, _LOG_DELTA_GRID.size)
-_COARSE_LOG_DELTAS = np.tile(_LOG_DELTA_GRID, _ALPHA_GRID.size)
-# the closed-form junction's candidate alphas, and its log delta as a multiple of l*
-_DEEP_ALPHAS = np.concatenate([_ALPHA_GRID, np.linspace(0.3, 0.9, 7)])
-_JUNCTION_STRETCH = 1.5
+# the junction's candidate alphas: twelve log-spaced from 1e-4 to 0.9, then
+# 0.3, 0.4, ..., 0.9, each the double np.linspace gave them
+_JUNCTION_ALPHAS = np.array([
+    0.00010000000000000009, 0.0002288108380472924, 0.0005235439960790417,
+    0.0011979254049747378, 0.0027409831583041144, 0.006271666535250782,
+    0.014350252758838885, 0.03283493359940389, 0.07512988674106796,
+    0.17190532347621906, 0.393338011293845, 0.9,
+    0.3, 0.4, 0.5, 0.6000000000000001, 0.7000000000000001, 0.8, 0.9])
+_JUNCTION_STRETCH = 1.5       # log delta as a multiple of l*
+_LOG_DELTA_CAP = math.log(0.3)
 # log of the smallest normal double: a smaller delta is subnormal or 0.0
 _LOG_TINY = math.log(sys.float_info.min)
 
 
 def search_competitors(n: int, lams) -> Searches:
-    """Maximize the bound's margin over the junction parameters, for every lambda.
+    """One closed-form junction per lambda, found where p < 2 and its log gap is positive.
 
-    Coarse log grid with two local refinement rounds.  Where that finds no
-    positive margin and p < 2, one closed-form junction decided by its log
-    gap: for tiny delta the gap is (p-2) l + C in l = log delta, with
+    For tiny delta the log gap is (p-2) l + C in l = log delta, with
     C = n log alpha - log1p(-alpha^n) + 2 log(-log alpha) - 2 log lam + log 2,
-    and is 0 at l* = C / (2-p).  The deep alpha of largest C, and l = 1.5 l*
-    (gap ~ |C|/2) or the smallest normal delta where half that gap is left,
-    make the junction.  Ties go to the first point in (alpha, log delta) order.
+    and is 0 at l* = C / (2-p).  The junction takes the first alpha of
+    _JUNCTION_ALPHAS with the largest C and l = min(1.5 l*, log 0.3)
+    (gap ~ |C|/2 below the cap), or the smallest normal delta where half
+    that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.
     """
     lams = np.asarray(lams, dtype=float)
-    size = lams.size
-    rows = np.arange(size)
     p = n * lams / math.sqrt(n - 1)
-
-    m = _margin(n, lams[:, None, None], p[:, None, None], _COARSE_LOG_ALPHAS, _COARSE_DELTAS)
-    m = m.reshape(size, _COARSE_ALPHAS.size)
-    best = m.argmax(axis=1)
-    margin = m[rows, best]
-    alpha, log_delta = _COARSE_ALPHAS[best], _COARSE_LOG_DELTAS[best]
-    evals = np.full(size, m.shape[1])
-
-    for a_offsets, d_offsets in _REFINE_OFFSETS:
-        alphas = np.exp(np.log(alpha)[:, None] + a_offsets)
-        log_deltas = log_delta[:, None] + d_offsets
-        # points with alpha >= 1 are skipped; delta stays below 0.3 e^0.53 < pi/2
-        ok = alphas < 1.0
-        m = _margin(n, lams[:, None], p[:, None], np.log(np.where(ok, alphas, 0.5)),
-                    np.exp(log_deltas))
-        m = np.where(ok, m, -np.inf)
-        evals = evals + ok.sum(axis=1)
-        best = m.argmax(axis=1)
-        candidate = m[rows, best]
-        better = candidate > margin
-        margin = np.maximum(candidate, margin)
-        alpha = np.where(better, alphas[rows, best], alpha)
-        log_delta = np.where(better, log_deltas[rows, best], log_delta)
-
-    found = margin > 0.0
-    todo = (~found).nonzero()[0]
-    if todo.size:
-        p_minus_2 = _decay_power_minus_2(n, lams[todo])
-        todo, p_minus_2 = todo[p_minus_2 < 0.0], p_minus_2[p_minus_2 < 0.0]
-        evals[todo] += 1
-        la = np.log(_DEEP_ALPHAS)
-        c_alpha = n * la - np.log1p(-np.exp(n * la)) + 2.0 * np.log(-la)
-        k = int(c_alpha.argmax())
-        l_star = (c_alpha[k] - 2.0 * np.log(lams[todo]) + math.log(2.0)) / -p_minus_2
-        ld = _JUNCTION_STRETCH * l_star
-        # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
-        ld = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
-        hit = (ld < math.log(HALF_PI)) & (_log_margin(n, lams[todo], p_minus_2, ld, la[k]) > 0.0)
-        todo, ld = todo[hit], ld[hit]
-        found[todo] = True
-        alpha[todo] = _DEEP_ALPHAS[k]
-        log_delta[todo] = ld
-        # delta underflows to 0.0 below log delta ~ -745, and the margin with it
-        margin[todo] = _margin(n, lams[todo], p[todo], la[k], np.exp(ld))
+    p_minus_2 = _decay_power_minus_2(n, lams)
+    la = np.log(_JUNCTION_ALPHAS)
+    c_alpha = n * la - np.log1p(-np.exp(n * la)) + 2.0 * np.log(-la)
+    k = int(c_alpha.argmax())
+    below = p_minus_2 < 0.0      # p < 2: the exact sign of D
+    log_delta = np.full(lams.shape, _LOG_DELTA_CAP)
+    l_star = (c_alpha[k] - 2.0 * np.log(lams[below]) + math.log(2.0)) / -p_minus_2[below]
+    ld = np.minimum(_JUNCTION_STRETCH * l_star, _LOG_DELTA_CAP)
+    # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
+    log_delta[below] = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
+    found = np.zeros(lams.shape, dtype=bool)
+    found[below] = _log_margin(n, lams[below], p_minus_2[below], log_delta[below], la[k]) > 0.0
+    alpha = np.full(lams.shape, _JUNCTION_ALPHAS[k])
+    # delta underflows to 0.0 below log delta ~ -745, and the margin with it
+    margin = _margin(n, lams, p, la[k], np.exp(log_delta))
     return Searches(found=found, alpha=alpha, log_delta=log_delta, margin=margin,
-                    evaluations=evals)
+                    evaluations=below.astype(int))
 
 
 def competitor_search(space: ConeSpace) -> SearchResult:

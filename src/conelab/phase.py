@@ -24,14 +24,8 @@ from .geometry import ConeSpace
 from .shooting import barrier_certificate, barrier_margins  # noqa: F401
 
 # competitor_search and barrier_certificate, the single-point forms of the
-# certificates _decide_block computes, are not called here; they stay phase
-# attributes for callers that import or patch them through this module.
-
-_BARRIER_MARGIN_TOL = 1e-12  # the degenerate double root c=1 rounds to ~0 margin
-
-# lambdas decided together: the barrier's (lambda x theta) temporaries stay
-# near 1 MB at shooting.BARRIER_SAMPLES = 1000 samples per lambda
-_SLICE = 128
+# certificates, are not called here; they stay phase attributes for callers
+# that import or patch them through this module.
 
 
 class Verdict(Enum):
@@ -94,10 +88,12 @@ _BARRIER, _COMPETITOR, _NEITHER = range(3)
 def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
     """``decide`` for every lambda of one n at once, in the order given.
 
-    Barrier line first, then the competitor search on what it leaves, then
-    Undetermined.  If either certificate raises NumericError, ValueError or
-    ArithmeticError, the block is decided again one lambda at a time, so only
-    a lambda whose own decision raises becomes Undetermined, with the
+    A barrier line wherever the exact D >= 0, that is wherever its slope c
+    exists, with the normalized margin; the closed-form competitor junction
+    on what it leaves, with its margin; Undetermined where that junction
+    fails its check.  If either certificate raises NumericError, ValueError
+    or ArithmeticError, the block is decided again one lambda at a time, so
+    only a lambda whose own decision raises becomes Undetermined, with the
     exception's message as diagnostics; other exceptions propagate.
     """
     if mode not in ("certified", "formula-only"):
@@ -109,7 +105,7 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
                 for m in offsets.tolist()]
     try:
         barrier = barrier_margins(n, lams)
-        path = np.where(barrier >= -_BARRIER_MARGIN_TOL, _BARRIER, _NEITHER)
+        path = np.where(np.isnan(barrier), _NEITHER, _BARRIER)
         margins = np.where(path == _BARRIER, barrier, offsets)
         rest = np.flatnonzero(path == _NEITHER)
         if rest.size:
@@ -128,17 +124,14 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
 
 
 def _scan_block(args) -> list[ScanRecord]:
-    """Records for one n over every lambda, decided _SLICE lambdas at a time."""
+    """Records for one n over every lambda, decided in one array pass."""
     n, lams, mode, measure_time = args
     start = time.perf_counter()
     for lam in lams:
         ConeSpace(n=n, lam=lam)   # rejects a lambda outside (0, 1]
     if not lams:
         return []
-    grid = np.array(lams)
-    decisions = []
-    for i in range(0, len(lams), _SLICE):
-        decisions.extend(_decide_block(n, grid[i:i + _SLICE], mode))
+    decisions = _decide_block(n, np.array(lams), mode)
     # the block's time spread evenly over its points
     ms = int(round((time.perf_counter() - start) * 1000.0 / len(lams))) if measure_time else 0
     lam_star = threshold(n)
@@ -151,7 +144,7 @@ def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
          measure_time: bool = True) -> list[ScanRecord]:
     """Decide every point of the grid; output sorted by (n, lambda).
 
-    Each n's lambdas are decided together, in array slices.  With
+    Each n's lambdas are decided together, in one array pass.  With
     parallelism > 1 the n-blocks fan out over a process pool; the output is
     sorted afterwards, so its order never depends on the worker count.
     wall_time_ms is each n-block's time spread evenly over its points; set

@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import NumericError
@@ -82,7 +81,7 @@ def h_rhs(theta: float, H: float, space: ConeSpace) -> float:
     return space.n * space.lam - (space.n - 1) * math.tan(theta) / math.tan(H)
 
 
-BARRIER_SAMPLES = 1000  # interior sample angles on each barrier line
+BARRIER_SAMPLES = 1000  # interior sample angles of barrier_certificate
 
 
 def _larger_roots(n: int, lams: np.ndarray) -> np.ndarray:
@@ -107,40 +106,19 @@ def barrier_slope(space: ConeSpace) -> Optional[float]:
     return None if roots is None else roots[1]
 
 
-def _barrier_lines(n: int, lams: np.ndarray, samples: int):
-    """The barrier line H = c*theta of every lambda as (c, thetas, rhs, margin).
+def barrier_margins(n: int, lams) -> np.ndarray:
+    """Normalized margin (n-1)(c^2-1)/(3c) of the barrier line of every lambda.
 
-    c and margin hold one entry per lambda, NaN where n*lam < 2 sqrt(n-1)
-    and no line exists; thetas and rhs (H' along the line) hold one row per
-    line that exists.  The samples split (0, theta_max) evenly, theta_max =
-    pi/2 * min(1, 1/c) keeping c*theta inside (0, pi/2); the margin is the
-    least rhs - c over them.
+    NaN where the exact D < 0 and no line exists.  Along H = c*theta the
+    margin is m(theta) = H' - c = (n-1)(1/c - tan(theta)/tan(c*theta)).
+    Every Taylor coefficient a_k of tan is positive (Abramowitz & Stegun
+    4.3.67), so tan(c theta) - c tan(theta) = sum a_k (c^(2k+1) - c)
+    theta^(2k+1) >= 0 for c >= 1 and 0 < c*theta < pi/2: the line is a
+    barrier wherever D >= 0.  The normalized margin is the theta -> 0 limit
+    of m(theta)/theta^2, which a 50-digit probe found to be its infimum.
     """
-    cs = _larger_roots(n, lams)
-    real = ~np.isnan(cs)
-    c = cs[real]
-    theta_max = HALF_PI * np.minimum(1.0, 1.0 / c)
-    thetas = theta_max[:, None] * np.arange(1, samples + 1) / (samples + 1)
-    # rhs = n*lam - (n-1) tan(theta) / tan(c theta), computed in place
-    rhs = np.tan(thetas)
-    rhs *= n - 1
-    c_thetas = c[:, None] * thetas
-    rhs /= np.tan(c_thetas, out=c_thetas)
-    np.subtract((n * lams[real])[:, None], rhs, out=rhs)
-    margins = np.full(lams.shape, np.nan)
-    # rounding is monotone, so min(rhs) - c is the least of the rhs - c
-    margins[real] = rhs.min(axis=1) - c
-    return cs, thetas, rhs, margins
-
-
-def barrier_margins(n: int, lams: np.ndarray) -> np.ndarray:
-    """Barrier margin of ``barrier_certificate`` for every lambda at once.
-
-    NaN where no barrier line exists.  The samples make BARRIER_SAMPLES
-    columns per lambda, so callers bound the temporaries' size by the number
-    of lambdas they pass.
-    """
-    return _barrier_lines(n, np.asarray(lams, dtype=float), BARRIER_SAMPLES)[3]
+    cs = _larger_roots(n, np.asarray(lams, dtype=float))
+    return (n - 1) * (cs - 1.0) * (cs + 1.0) / (3.0 * cs)
 
 
 def barrier_certificate(space: ConeSpace,
@@ -148,13 +126,18 @@ def barrier_certificate(space: ConeSpace,
     """Check H' > c on the line H = c*theta at interior sample points.
 
     A positive minimum margin certifies that no trajectory can cross the
-    line from left to right inside the working box.
+    line from left to right inside the working box; this sampled form
+    re-checks ``barrier_margins``' lemma.  The samples split (0, theta_max)
+    evenly, theta_max = pi/2 * min(1, 1/c) keeping c*theta inside
+    (0, pi/2); the margin is the least H' - c over them.
     """
-    cs, thetas, rhs, margins = _barrier_lines(space.n, np.array([space.lam]), samples)
-    if math.isnan(cs[0]):
+    c = barrier_slope(space)
+    if c is None:
         raise ValueError("no barrier slope: n*lam < 2 sqrt(n-1)")
-    return BarrierCertificate(c=float(cs[0]), thetas=thetas[0], rhs_values=rhs[0],
-                              margin=float(margins[0]))
+    n = space.n
+    thetas = HALF_PI * min(1.0, 1.0 / c) * np.arange(1, samples + 1) / (samples + 1)
+    rhs = n * space.lam - (n - 1) * np.tan(thetas) / np.tan(c * thetas)
+    return BarrierCertificate(c=c, thetas=thetas, rhs_values=rhs, margin=float(rhs.min() - c))
 
 
 def boundary_flux(A: float, space: ConeSpace) -> float:
@@ -455,40 +438,24 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     """
     if outcome.kind is OutcomeKind.EXITS_AT_FLOOR:
         raise ValueError("trajectory reaches the floor: profile has a vertical tangent")
+    if outcome.dense is None:
+        raise ValueError("outcome carries no continuous extension (dense)")
     lam = space.lam
     t_last = float(outcome.thetas[-1])
     f_last = math.exp(float(outcome.log_fs[-1]))
+    dense = outcome.dense
+    t_hi = dense.t_max
 
-    if outcome.dense is not None:
-        dense = outcome.dense
-        t_hi = dense.t_max
+    def f_eval(theta):
+        if theta >= t_hi:
+            return f_last
+        return math.exp(float(dense(theta)[1]))
 
-        def f_eval(theta):
-            if theta >= t_hi:
-                return f_last
-            return math.exp(float(dense(theta)[1]))
-
-        def f_deriv(theta):
-            if theta >= t_hi:
-                return 0.0
-            H, logf = dense(theta)
-            return -lam * math.exp(float(logf)) / math.tan(float(H))
-    else:
-        t, idx = np.unique(outcome.thetas, return_index=True)
-        if t.size < 4:
-            raise ValueError("trajectory too short to interpolate")
-        logf_sp = CubicSpline(t, outcome.log_fs[idx])
-        H_sp = CubicSpline(t, outcome.Hs[idx])
-
-        def f_eval(theta):
-            if theta >= t_last:
-                return f_last
-            return math.exp(float(logf_sp(theta)))
-
-        def f_deriv(theta):
-            if theta >= t_last:
-                return 0.0
-            return -lam * f_eval(theta) / math.tan(float(H_sp(theta)))
+    def f_deriv(theta):
+        if theta >= t_hi:
+            return 0.0
+        H, logf = dense(theta)
+        return -lam * math.exp(float(logf)) / math.tan(float(H))
 
     return RadialProfile(lo=0.0, hi=HALF_PI, eval=f_eval, deriv=f_deriv,
                          breakpoints=(min(t_last, HALF_PI - 1e-12),))

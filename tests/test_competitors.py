@@ -12,8 +12,8 @@ from conelab.competitors import (CatenoidParams, ExpCompetitor, _g_to_half_pi,
                                  competitor_search, disk_profile, exp_profile,
                                  exp_profile_area, exp_profile_bound,
                                  exp_profile_log_margin, exp_profile_margin,
-                                 solve_catenoid)
-from conelab.geometry import ConeSpace
+                                 search_competitors, solve_catenoid)
+from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.profiles import LengthProfile, graph_area, s_functional
 
 HALF_PI = math.pi / 2
@@ -215,6 +215,14 @@ class TestExpArea:
                 for a in (0.2, 0.4, 0.6)]
         assert min(vals) < 1.0 / 3.0
 
+    def test_large_n_witness_area(self):
+        # (2n-2) log sec t passes 709 near pi/2, where expm1 of it overflows
+        for n, lam in ((200, 0.1), (1000, 0.05)):
+            space = ConeSpace(n, lam)
+            res = competitor_search(space)
+            assert res.found and res.delta > 0.0
+            assert exp_profile_area(space, res.delta, res.alpha) <= res.bound + 1e-9
+
     def test_all_above_one_third_over_threshold(self):
         space = ConeSpace(3, 0.95)
         vals = [exp_profile_area(space, d, a)
@@ -236,8 +244,9 @@ class TestSearch:
         res = competitor_search(ConeSpace(5, 0.79))
         assert res.found and res.margin > 0.0
 
-    def test_not_found_reports_the_grid_optimum(self):
-        # alpha, delta, bound and margin all describe one point of the grid
+    def test_not_found_reports_the_junction(self):
+        # alpha, delta, bound and margin all describe the one junction, here
+        # at the log 0.3 cap since p > 2
         space = ConeSpace(3, 0.95)
         res = competitor_search(space)
         assert not res.found
@@ -248,9 +257,10 @@ class TestSearch:
         assert res.bound == pytest.approx(
             exp_profile_bound(space, res.delta, res.alpha), abs=1e-15)
         assert res.bound == 1.0 / 3.0 - res.margin
+        assert res.log_delta == math.log(0.3) and res.evaluations == 0
 
     def test_log_gap_matches_mpmath(self):
-        # a grid witness with log delta in (-14, -5), where log sin(delta)
+        # a junction with log delta in (-14, -5), where log sin(delta)
         # differs from log delta by delta^2/6
         space = ConeSpace(5, 0.592)
         res = competitor_search(space)
@@ -288,6 +298,19 @@ class TestSearch:
                      + 2 * abs(mpmath.log(-mpmath.log(alpha))) + mpmath.log(2))
             assert exact > 0
             assert abs(res.log_margin_gap - exact) <= 1e-12 * terms
+
+    def test_junction_found_at_every_lambda_below_threshold(self):
+        # 4,016 lambdas per n, from 1e-3 up to one ulp below lambda*: the
+        # one closed-form junction beats the cone at every one of them
+        for n in list(range(2, 30)) + [50, 100, 200, 1000]:
+            star = 2 * math.sqrt(n - 1) / n
+            lams = np.concatenate([np.linspace(1e-3, star, 4001)[:-1],
+                                   star * (1 - 10.0 ** -np.arange(1, 16)),
+                                   [star * (1 - 2.0 ** -52)]])
+            assert np.all(threshold_discriminant(n, lams) < 0.0)
+            s = search_competitors(n, lams)
+            assert s.found.all(), (n, lams[~s.found])
+            assert np.all(s.evaluations == 1)
 
     def test_monotone_threshold_crossing(self):
         # found-flag flips once along a lambda sweep at fixed n

@@ -101,22 +101,21 @@ class TestScan:
             scan([3], [0.9, 1.5])
 
     def test_block_matches_pointwise_decide(self):
-        # one n-block longer than a slice, mixing every decision path:
-        # barrier, competitor grid and the closed-form deep junction
+        # one n-block mixing the barrier with competitor junctions both at
+        # delta >= 1e-8 and below it
         star = threshold(4)
         lams = [float(x) for x in np.linspace(0.6, 1.0, 150)]
         lams += [star, star - 1e-9, star - 1e-6, star + 1e-9]
-        assert len(lams) > phase._SLICE
         paths = Counter()
         for rec in scan([4], lams, measure_time=False):
             d = decide(ConeSpace(4, rec.lam))
             assert rec.decision == d, rec.lam
             if d.certificate is Certificate.COMPETITOR_FOUND:
-                deep = competitor_search(ConeSpace(4, rec.lam)).log_delta < math.log(1e-8)
-                paths["deep" if deep else "grid"] += 1
+                tiny = competitor_search(ConeSpace(4, rec.lam)).log_delta < math.log(1e-8)
+                paths["tiny delta" if tiny else "wide delta"] += 1
             else:
                 paths[d.certificate] += 1
-        assert set(paths) == {Certificate.BARRIER_LINE, "grid", "deep"}
+        assert set(paths) == {Certificate.BARRIER_LINE, "wide delta", "tiny delta"}
 
     def test_failure_downgrades_only_its_lambda(self, monkeypatch):
         # a search that raises at one lambda leaves the rest of the slice decided

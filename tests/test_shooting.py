@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab.geometry import ConeSpace
+from conelab.phase import decide, threshold
 from conelab.profiles import s_functional
 from conelab.shooting import (OutcomeKind, ShootConfig, ShootingOutcome,
-                              barrier_certificate, barrier_roots,
+                              barrier_certificate, barrier_margins, barrier_roots,
                               barrier_slope, boundary_flux,
                               find_extending_shots, flux_consistency, h_rhs,
                               initial_slope, reconstruct_f, shoot,
@@ -66,6 +68,37 @@ class TestBarrier:
     def test_no_slope_raises(self):
         with pytest.raises(ValueError):
             barrier_certificate(ConeSpace(3, 0.9))
+
+    def test_normalized_margin_bounds_the_line(self):
+        # m(theta) = (n-1)(1/c - tan(theta)/tan(c theta)) >= M theta^2 in 50
+        # digits, M the normalized margin, from 1e-4 theta_max to theta_max
+        # on lines from the double root (c = 1) and lambda* (1 + 1e-6) up to
+        # lambda = 1 (c = n-1); the sampled certificate agrees in sign
+        lines = [(2, 1.0)]
+        for n in (3, 6, 100, 1000):
+            star = threshold(n)
+            lines += [(n, min(1.0, star * (1 + e))) for e in (1e-6, 1e-3, 0.05, 1.0)]
+        for n, lam in lines:
+            space = ConeSpace(n, lam)
+            c = barrier_slope(space)
+            M = float(barrier_margins(n, [lam])[0])
+            assert M >= 0.0
+            assert barrier_certificate(space, 1000).margin >= 0.0
+            theta_max = HALF_PI * min(1.0, 1.0 / c)
+            fractions = np.concatenate([np.geomspace(1e-4, 0.01, 100),
+                                        np.linspace(0.01, 1.0, 101)[1:-1], [1.0 - 1e-9]])
+            with mpmath.workdps(50):
+                c_ = mpmath.mpf(c)
+                for t in fractions * theta_max:
+                    t = mpmath.mpf(float(t))
+                    m = (n - 1) * (1 / c_ - mpmath.tan(t) / mpmath.tan(c_ * t))
+                    assert m >= M * t * t, (n, lam, float(t))
+
+    def test_scan_uses_the_normalized_margin(self):
+        for n, lam in ((2, 1.0), (3, 0.95), (6, 0.8)):
+            c = barrier_slope(ConeSpace(n, lam))
+            assert decide(ConeSpace(n, lam)).margin == pytest.approx(
+                (n - 1) * (c * c - 1) / (3 * c), rel=1e-14, abs=1e-300)
 
     @given(st.integers(3, 8), st.floats(0.01, 0.3))
     @settings(max_examples=60, deadline=None)
@@ -329,14 +362,29 @@ def test_extending_shot_at_n4():
 
 
 class TestReconstruct:
-    def test_synthetic_ceiling_trajectory_gives_constant(self):
+    @staticmethod
+    def _ceiling_outcome(dense):
+        # H = pi/2 all along: cot H = 0, so f stays 1
         thetas = np.linspace(0.0, HALF_PI - 1e-6, 50)
-        out = ShootingOutcome(kind=OutcomeKind.EXTENDS_TO_HALF_PI, thetas=thetas,
-                              Hs=np.full_like(thetas, HALF_PI),
-                              log_fs=np.zeros_like(thetas),
-                              theta_exit=float(thetas[-1]), f_end=1.0)
-        f = reconstruct_f(out, ConeSpace(3, 0.9))
+        return ShootingOutcome(kind=OutcomeKind.EXTENDS_TO_HALF_PI, thetas=thetas,
+                               Hs=np.full_like(thetas, HALF_PI),
+                               log_fs=np.zeros_like(thetas),
+                               theta_exit=float(thetas[-1]), f_end=1.0, dense=dense)
+
+    def test_synthetic_ceiling_trajectory_gives_constant(self):
+        class Ceiling:
+            t_max = HALF_PI - 1e-6
+
+            def __call__(self, theta):
+                return HALF_PI, 0.0
+
+        f = reconstruct_f(self._ceiling_outcome(Ceiling()), ConeSpace(3, 0.9))
         assert f(0.7) == pytest.approx(1.0, abs=1e-9)
+        assert f.deriv(0.7) == pytest.approx(0.0, abs=1e-15)
+
+    def test_outcome_without_dense_rejected(self):
+        with pytest.raises(ValueError, match="dense"):
+            reconstruct_f(self._ceiling_outcome(None), ConeSpace(3, 0.9))
 
     def test_profile_nonincreasing(self):
         hits = find_extending_shots(ConeSpace(3, 0.9), count=1)
