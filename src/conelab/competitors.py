@@ -281,17 +281,18 @@ def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> 
     return float(_log_margin(space.n, space.lam, p_minus_2, log_delta, math.log(alpha)))
 
 
+def _log_sec(t: float) -> float:
+    """-log(cos t), from cos t = 1 - 2 sin^2(t/2) so small t keeps its digits."""
+    return -math.log1p(-2.0 * math.sin(0.5 * t) ** 2)
+
+
 def _g_integrand(t: float, n: int) -> float:
     """g'(t) = 1/sqrt(cos^(2-2n)t - 1) of the competitor's tail exponent."""
     # cos^(2-2n)t - 1 = expm1(a), a = (2n-2) log sec t, via expm1 so tiny t
     # does not round cos t to 1; past a = 40, e^-a is below half an ulp of 1,
     # so g' = e^(-a/2) / sqrt(1 - e^-a) is e^(-a/2), where expm1(a) would
     # overflow near pi/2 for large n
-    if t < 1e-4:
-        log_sec = t * t / 2.0 + t**4 / 12.0  # -log(cos t) to machine precision
-    else:
-        log_sec = -math.log(math.cos(t))
-    a = (2 * n - 2) * log_sec
+    a = (2 * n - 2) * _log_sec(t)
     return 1.0 / math.sqrt(math.expm1(a)) if a < 40.0 else math.exp(-0.5 * a)
 
 
@@ -311,8 +312,8 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
         lo_tau, hi_tau = math.log(delta), math.log(split)
         total += (hi_tau - lo_tau) * lead
         rem_lo = max(lo_tau, -40.0)  # remainder below e^-80: lost in rounding
-        # the subtraction has a ~1e-9 relative noise floor; 1e-9 absolute in
-        # the exponent keeps the resulting area accurate to ~1e-10
+        # 1e-9 absolute in the exponent keeps the resulting area accurate
+        # to ~1e-10
         val, _ = integrate.quad(
             lambda tau: math.exp(tau) * _g_integrand(math.exp(tau), n) - lead,
             rem_lo, hi_tau, epsabs=1e-9, epsrel=1e-8, limit=200)

@@ -11,6 +11,7 @@ the box reconstruct admissible decreasing profiles.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -185,6 +186,7 @@ _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
        701980252875 / 199316789632),
       (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
       (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+_P_COLUMNS = tuple(zip(*_P))    # per power of x, the weights of the six stages
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5    # -1 / (order of the error estimate + 1)
 _SQRT2 = 2 ** 0.5
@@ -197,8 +199,8 @@ class _Path:
 
     ``ts``, ``ys`` and ``zs`` hold the nodes; ``stages`` holds, per step, what
     the 4th-order continuous extension needs.  Called at t it returns (y, z)
-    from the step covering t (the earlier one at a node, as scipy's dense
-    output does); only paths with increasing t are called.
+    from the step covering t (the one nearer the start at a node), whichever
+    way t runs.
     """
 
     __slots__ = ("ts", "ys", "zs", "stages", "coefs", "steps", "rejected", "failed")
@@ -211,19 +213,19 @@ class _Path:
 
     @property
     def t_max(self) -> float:
-        return self.ts[-1]
+        return max(self.ts[0], self.ts[-1])
 
     def __call__(self, t: float):
-        i = min(max(bisect_left(self.ts, t) - 1, 0), len(self.stages) - 1)
-        return self._at(i, t)
+        if self.ts[-1] >= self.ts[0]:
+            i = bisect_left(self.ts, t) - 1
+        else:
+            i = bisect_left(self.ts, -t, key=operator.neg) - 1
+        return self._at(min(max(i, 0), len(self.stages) - 1), t)
 
     def _at(self, i: int, t: float):
         coefs = self.coefs[i]
         if coefs is None:
-            t0, h, y0, z0, *k = self.stages[i]
-            qs = [sum(k[2 * s + c] * _P[s][j] for s in range(6))
-                  for c in (0, 1) for j in range(4)]
-            coefs = self.coefs[i] = (t0, h, y0, z0, *qs)
+            coefs = self.coefs[i] = _extension(*self.stages[i])
         t0, h, y0, z0, qy1, qy2, qy3, qy4, qz1, qz2, qz3, qz4 = coefs
         x = (t - t0) / h
         x2 = x * x
@@ -238,10 +240,26 @@ class _Path:
         return brentq(lambda t: self._at(i, t)[0] - level, self.ts[-2], self.ts[-1],
                       xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
+    def shift(self, dz: float) -> None:
+        """Add dz to z along the whole path, nodes and extension alike."""
+        self.zs = [z + dz for z in self.zs]
+        self.stages = [(t, h, y, z + dz, *k) for t, h, y, z, *k in self.stages]
+        self.coefs = [None] * len(self.stages)
+
     def cut(self, t: float) -> None:
         """End the path at t inside its last step."""
         self.ys[-1], self.zs[-1] = self._at(len(self.stages) - 1, t)
         self.ts[-1] = t
+
+
+def _extension(t0, h, y0, z0, k1y, k1z, k3y, k3z, k4y, k4z, k5y, k5z, k6y, k6z,
+               k7y, k7z):
+    """One step's continuous-extension coefficients from its stored stages."""
+    return (t0, h, y0, z0,
+            *[k1y * p1 + k3y * p3 + k4y * p4 + k5y * p5 + k6y * p6 + k7y * p7
+              for p1, p3, p4, p5, p6, p7 in _P_COLUMNS],
+            *[k1z * p1 + k3z * p3 + k4z * p4 + k5z * p5 + k6z * p6 + k7z * p7
+              for p1, p3, p4, p5, p6, p7 in _P_COLUMNS])
 
 
 def _initial_step(fun, t, y, z, fy, fz, t_bound, direction, rtol, atol):
@@ -337,6 +355,17 @@ def _dopri(fun, t: float, y: float, z: float, t_bound: float, rtol: float,
     return path
 
 
+def _theta_rhs(space: ConeSpace):
+    """(H, log f)' over theta: the angle ODE and f'/f = -lam cot H."""
+    nl, nm1, lam = space.n * space.lam, space.n - 1, space.lam
+
+    def rhs(theta, H, logf):
+        cot = 1.0 / math.tan(H)
+        return nl - nm1 * math.tan(theta) * cot, -lam * cot
+
+    return rhs
+
+
 def _floor_tail(space: ConeSpace, theta_e: float, H_e: float, logf_e: float,
                 cfg: ShootConfig) -> _Path:
     """Integrate (theta, log f) as functions of H from H_e down to the floor."""
@@ -359,7 +388,7 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
     """
     if not 0.0 < H0 <= HALF_PI:
         raise ValueError(f"H0 must lie in (0, pi/2], got {H0}")
-    nl, nm1, lam = space.n * space.lam, space.n - 1, space.lam
+    nl, nm1 = space.n * space.lam, space.n - 1
     ceiling = HALF_PI - cfg.h_floor
 
     if H0 >= ceiling:
@@ -368,9 +397,7 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
                                thetas=np.array([0.0]), Hs=np.array([H0]),
                                log_fs=np.array([0.0]), theta_exit=0.0)
 
-    def rhs(theta, H, logf):
-        cot = 1.0 / math.tan(H)
-        return nl - nm1 * math.tan(theta) * cot, -lam * cot
+    rhs = _theta_rhs(space)
 
     # Once H' <= 0, H'' = (n-1) (tan(theta) H' / sin^2 H - cot H / cos^2 theta)
     # < 0: a falling trajectory keeps falling ever faster, so crossing the
@@ -461,37 +488,61 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
                          breakpoints=(min(t_last, HALF_PI - 1e-12),))
 
 
-def find_extending_shots(space: ConeSpace, count: int = 3,
-                         cfg: ShootConfig = ShootConfig(), max_iter: int = 200):
-    """Bisection over H0 between floor and ceiling exits.
+# the start radii's H0 agree to ~1e-11 relative; a wider spread means the
+# C*u^(1-n) term has not decayed by theta = 0
+_H0_AGREEMENT = 1e-9
 
-    Returns up to ``count`` pairs (H0, outcome) whose trajectories reach
-    pi/2 inside the box; empty when the bracket collapses without a hit.
+
+def _shoot_back(space: ConeSpace, u0: float, cfg: ShootConfig):
+    """(H0, outcome) of one shot from theta = pi/2 - u0 on w = lam*u back to 0."""
+    def watch(path):
+        return path.ys[-1] <= cfg.h_floor
+
+    theta_top = HALF_PI - u0
+    path = _dopri(_theta_rhs(space), theta_top, HALF_PI - space.lam * u0, 0.0, 0.0,
+                  cfg.rtol, cfg.atol, watch)
+    if path.failed or path.ts[-1] != 0.0:
+        where = "stalled" if path.failed else "reached the floor"
+        raise NumericError(f"backward shot from u0={u0:g} {where} at theta={path.ts[-1]!r}, "
+                           f"H={path.ys[-1]!r}")
+    H0 = path.ys[-1]
+    if H0 < cfg.h_switch:
+        raise NumericError(f"H0={H0!r} below h_switch={cfg.h_switch:g}: the area "
+                           f"quadrature misses f's boundary layer at theta = 0")
+    path.shift(-path.zs[-1])
+    outcome = ShootingOutcome(kind=OutcomeKind.EXTENDS_TO_HALF_PI,
+                              thetas=np.array(path.ts[::-1]), Hs=np.array(path.ys[::-1]),
+                              log_fs=np.array(path.zs[::-1]), theta_exit=theta_top,
+                              f_end=math.exp(path.zs[0]), steps=path.steps,
+                              rejected=path.rejected, dense=path)
+    return H0, outcome
+
+
+def find_extending_shots(space: ConeSpace, count: int = 3,
+                         cfg: ShootConfig = ShootConfig()):
+    """Extending shots, each integrated backward from the singular corner.
+
+    Near theta = H = pi/2, with u = pi/2 - theta and w = pi/2 - H, the
+    solutions are w = lam*u + C*u^(1-n).  Shooting forward, C grows, so the
+    extending window in H0 is narrower than one ulp for n >= 4; shooting
+    backward, the C term decays, so a shot started on w = lam*u at u0 lands
+    on the separatrix and reads its H0 off at theta = 0.  Returns ``count``
+    pairs (H0, outcome), from u0 = theta_pad * 10^-k for k = 0..count-1,
+    with f(0) = 1; [] where the exact D >= 0, since the barrier line then
+    proves that no graph extends.  Raises ``NumericError`` when a shot
+    stalls or reaches the floor, when the radii disagree on H0, or when H0
+    falls below ``h_switch``, where the area quadrature is not trusted.
     """
-    lo, hi = 1e-3, HALF_PI
-    out_lo = shoot(space, lo, cfg)
-    if out_lo.kind is not OutcomeKind.EXITS_AT_FLOOR:
-        lo = 1e-6
-        out_lo = shoot(space, lo, cfg)
-        if out_lo.kind is not OutcomeKind.EXITS_AT_FLOOR:
-            raise NumericError("could not bracket: low shot does not exit at floor")
-    hits = []
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        out = shoot(space, mid, cfg)
-        if out.kind is OutcomeKind.EXTENDS_TO_HALF_PI:
-            hits.append((mid, out))
-            if len(hits) >= count:
-                break
-            lo = mid  # keep narrowing; nearby midpoints keep extending
-        elif out.kind is OutcomeKind.EXITS_AT_FLOOR:
-            lo = mid
-        elif out.kind is OutcomeKind.EXITS_AT_CEILING:
-            hi = mid
-        else:
-            raise NumericError(f"shoot stalled at H0={mid}: {out.diagnostics}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if threshold_discriminant(space.n, [space.lam])[0] >= 0.0:
+        return []
+    hits = [_shoot_back(space, cfg.theta_pad * 10.0 ** -k, cfg) for k in range(count)]
+    H0 = hits[0][0]
+    spread = max(abs(h - H0) for h, _ in hits)
+    if spread > _H0_AGREEMENT * H0:
+        raise NumericError(f"start radii disagree on H0={H0!r} by {spread:.3g}",
+                           residual=spread)
     return hits
 
 

@@ -90,6 +90,26 @@ def test_criterion_3_flux_oracle_on_several_separatrices():
                f"matches cos(H0)/n (worst {worst_closed:.1e} <= 1e-12)", ok)
 
 
+def test_criterion_3_flux_oracle_at_higher_n():
+    worst_area = worst_closed = worst_spread = 0.0
+    ok = True
+    for n, lam in ((4, 0.8), (5, 0.7), (6, 0.6), (10, 0.55)):
+        space = ConeSpace(n, lam)
+        hits = find_extending_shots(space, count=3)
+        ok &= len(hits) == 3
+        H0s = [H0 for H0, _ in hits]
+        worst_spread = max(worst_spread, (max(H0s) - min(H0s)) / H0s[0])
+        for H0, outcome in hits:
+            area, flux = flux_consistency(space, H0, outcome)
+            worst_area = max(worst_area, abs(area - flux) / flux)
+            worst_closed = max(worst_closed, abs(flux - math.cos(H0) / n))
+    ok &= worst_spread <= 1e-9 and worst_area <= 1e-6 and worst_closed <= 1e-12
+    _report(3, f"extending shots at n = 4, 5, 6, 10: H0 agrees across 3 start "
+               f"radii (worst rel {worst_spread:.1e} <= 1e-9), quadrature area "
+               f"matches closed-form flux (worst rel {worst_area:.2e} <= 1e-6), "
+               f"flux matches cos(H0)/n (worst {worst_closed:.1e} <= 1e-12)", ok)
+
+
 def test_criterion_4_catenoid_expansion():
     alpha = 0.5
     target = alpha**2 * (1 + 1 / (-math.log(alpha)))  # ~0.61067

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab.competitors import (CatenoidParams, ExpCompetitor, _g_to_half_pi,
+                                 _log_sec,
                                  catenoid_area_closed_form, catenoid_profile,
                                  catenoid_residuals, check_length_profile,
                                  competitor_search, disk_profile, exp_profile,
@@ -198,6 +199,13 @@ class TestExpArea:
             f = exp_profile(space, delta, 0.5)
             expected = 0.5 * math.exp(-space.lam * _g_to_half_pi(space, delta))
             assert f(HALF_PI) == pytest.approx(expected, rel=1e-9)
+
+    def test_log_sec_matches_mpmath(self):
+        # -log cos t keeps its digits where 1 - cos t is below 1e-8
+        for t in (1e-9, 1.0244e-4, 3e-4, 0.5, 1.5):
+            with mpmath.workdps(40):
+                exact = -mpmath.log(mpmath.cos(mpmath.mpf(t)))
+                assert abs(_log_sec(t) - exact) <= 1e-15 * exact
 
     def test_junction_continuity(self):
         f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from conelab.geometry import ConeSpace
+from conelab import shooting
+from conelab.errors import NumericError
+from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.phase import decide, threshold
 from conelab.profiles import s_functional
 from conelab.shooting import (OutcomeKind, ShootConfig, ShootingOutcome,
@@ -348,10 +351,6 @@ def test_work_counters():
     assert start.steps == start.rejected == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "bisection closes on two adjacent doubles H0 (~0.0021676), one exiting at "
-    "the floor and one at the ceiling: for n >= 4 the extending window is "
-    "narrower than one ulp at theta_pad = 1e-6"))
 def test_extending_shot_at_n4():
     space = ConeSpace(4, 0.8)
     hits = find_extending_shots(space, count=1)
@@ -359,6 +358,90 @@ def test_extending_shot_at_n4():
     H0, out = hits[0]
     area, flux = flux_consistency(space, H0, out)
     assert abs(area - flux) <= 1e-6 * flux
+
+
+class TestBackwardShots:
+    def test_outcome_runs_from_zero_to_the_top(self):
+        space = ConeSpace(3, 0.55)
+        for u0, (H0, out) in zip((1e-6, 1e-7, 1e-8), find_extending_shots(space)):
+            assert out.kind is OutcomeKind.EXTENDS_TO_HALF_PI
+            assert out.thetas[0] == 0.0 and out.Hs[0] == H0
+            assert out.thetas[-1] == out.theta_exit == HALF_PI - u0
+            assert np.all(np.diff(out.thetas) > 0.0)
+            assert out.log_fs[0] == 0.0
+            assert out.f_end == math.exp(out.log_fs[-1]) < 1.0
+            assert out.dense.t_max == out.thetas[-1]
+            # the corner's own solution w = lam*u at the start
+            assert out.Hs[-1] == HALF_PI - space.lam * u0
+
+    def test_dense_output_reproduces_nodes(self):
+        _, out = find_extending_shots(ConeSpace(4, 0.8), count=1)[0]
+        for theta, H, logf in zip(out.thetas, out.Hs, out.log_fs):
+            dH, dlogf = out.dense(theta)
+            assert abs(dH - H) <= 1e-12 and abs(dlogf - logf) <= 1e-12
+        mid = 0.5 * (out.thetas[1] + out.thetas[2])
+        assert out.thetas[1] < mid < out.thetas[2]
+        assert out.Hs[1] < out.dense(mid)[0] < out.Hs[2]
+
+    def test_h0_matches_scipy_dop853(self):
+        # an independent backward shot: scipy's 8th-order integrator at rtol 1e-12
+        for n, lam in ((2, 0.75), (3, 0.9), (4, 0.8)):
+            u0 = 1e-7
+            ref = solve_ivp(
+                lambda t, y: [n * lam - (n - 1) * math.tan(t) / math.tan(y[0])],
+                (HALF_PI - u0, 0.0), [HALF_PI - lam * u0], method="DOP853",
+                rtol=1e-12, atol=1e-14).y[0, -1]
+            H0, _ = find_extending_shots(ConeSpace(n, lam), count=1)[0]
+            assert H0 == pytest.approx(ref, rel=5e-9)
+
+    @pytest.mark.parametrize("n, lam", [(2, 1.0), (3, 0.95), (4, 0.9), (5, 0.9),
+                                        (10, 0.61), (10, 1.0)])
+    def test_empty_at_or_above_threshold(self, n, lam):
+        assert lam >= threshold(n)
+        assert find_extending_shots(ConeSpace(n, lam)) == []
+
+    def test_threshold_ulps_give_empty_or_raise(self):
+        for n in (2, 3, 4, 10):
+            lam = threshold(n)
+            while threshold_discriminant(n, [lam])[0] < 0.0:
+                lam = math.nextafter(lam, 2.0)
+            assert find_extending_shots(ConeSpace(n, lam)) == []
+            with pytest.raises(NumericError):
+                find_extending_shots(ConeSpace(n, math.nextafter(lam, 0.0)))
+
+    @pytest.mark.parametrize("n, lam", [(2, 0.995), (2, 0.999), (3, 0.93), (3, 0.942),
+                                        (4, 0.85), (4, 0.86), (10, 0.59)])
+    def test_near_threshold_raises_or_passes_flux(self, n, lam):
+        # H0 collapses toward 0 near lambda*, where f has a boundary layer
+        # that the area quadrature does not resolve: no wrong area may come out
+        space = ConeSpace(n, lam)
+        try:
+            hits = find_extending_shots(space)
+        except NumericError:
+            return
+        assert len(hits) == 3
+        for H0, out in hits:
+            area, flux = flux_consistency(space, H0, out)
+            assert abs(area - flux) <= 1e-6 * flux
+
+    def test_low_h0_guard(self):
+        # H0 ~ 2.6e-8 at (2, 0.995): below h_switch, so no hit is returned
+        with pytest.raises(NumericError, match="h_switch"):
+            find_extending_shots(ConeSpace(2, 0.995))
+
+    def test_never_shoots_forward(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_extending_shots called shoot")
+
+        monkeypatch.setattr(shooting, "shoot", refuse)
+        hits = find_extending_shots(ConeSpace(4, 0.8))
+        assert len(hits) == 3
+        # a deterministic work bound; the three shots take 552 accepted steps
+        assert sum(out.steps for _, out in hits) <= 1000
+
+    def test_count_validated(self):
+        with pytest.raises(ValueError):
+            find_extending_shots(ConeSpace(3, 0.9), count=0)
 
 
 class TestReconstruct:
