@@ -12,9 +12,10 @@ import concurrent.futures
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,21 +41,23 @@ class Certificate(Enum):
     THRESHOLD_FORMULA = "ThresholdFormula"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     verdict: Verdict
     certificate: Optional[Certificate]
     margin: float
     diagnostics: str = ""
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     n: int
     lam: float
     decision: Decision
     lambda_star: float
     wall_time_ms: int
+
+
+# builds a record from a tuple of its fields, without the keyword-argument __new__
+_new = tuple.__new__
 
 
 def threshold(n: int) -> float:
@@ -76,13 +79,23 @@ def decide(space: ConeSpace, mode: str = "certified") -> Decision:
     return _decide_block(space.n, np.array([space.lam]), mode)[0]
 
 
-# (verdict, certificate, diagnostics) of each path of a certified decision
+# (verdict, certificate, diagnostics) of each path of a decision
 _OUTCOMES = (
     (Verdict.MINIMIZING, Certificate.BARRIER_LINE, ""),
     (Verdict.NOT_MINIMIZING, Certificate.COMPETITOR_FOUND, ""),
     (Verdict.UNDETERMINED, None, "both certificates failed"),
+    (Verdict.MINIMIZING, Certificate.THRESHOLD_FORMULA, ""),
+    (Verdict.NOT_MINIMIZING, Certificate.THRESHOLD_FORMULA, ""),
 )
-_BARRIER, _COMPETITOR, _NEITHER = range(3)
+_BARRIER, _COMPETITOR, _NEITHER, _ABOVE, _BELOW = range(5)
+_VERDICTS, _CERTIFICATES, _DIAGNOSTICS = np.array(_OUTCOMES, dtype=object).T
+
+
+def _decisions(path: np.ndarray, margins: np.ndarray) -> list[Decision]:
+    """One Decision per point, from its path code and its margin."""
+    return list(map(_new, repeat(Decision),
+                    zip(_VERDICTS[path].tolist(), _CERTIFICATES[path].tolist(),
+                        margins.tolist(), _DIAGNOSTICS[path].tolist())))
 
 
 def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
@@ -100,9 +113,7 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
         raise ValueError(f"mode must be 'certified' or 'formula-only', got {mode!r}")
     offsets = lams - threshold(n)
     if mode == "formula-only":
-        return [Decision(verdict=Verdict.MINIMIZING if m >= 0.0 else Verdict.NOT_MINIMIZING,
-                         certificate=Certificate.THRESHOLD_FORMULA, margin=m)
-                for m in offsets.tolist()]
+        return _decisions(np.where(offsets >= 0.0, _ABOVE, _BELOW), offsets)
     try:
         barrier = barrier_margins(n, lams)
         path = np.where(np.isnan(barrier), _NEITHER, _BARRIER)
@@ -118,25 +129,18 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
             return [d for i in range(lams.size) for d in _decide_block(n, lams[i:i + 1], mode)]
         return [Decision(verdict=Verdict.UNDETERMINED, certificate=None,
                          margin=float(offsets[0]), diagnostics=str(exc))]
-    outcomes = [_OUTCOMES[k] for k in path.tolist()]
-    return [Decision(verdict, cert, m, diagnostics)
-            for (verdict, cert, diagnostics), m in zip(outcomes, margins.tolist())]
+    return _decisions(path, margins)
 
 
 def _scan_block(args) -> list[ScanRecord]:
-    """Records for one n over every lambda, decided in one array pass."""
+    """Records for one n over its sorted lambdas, decided in one array pass."""
     n, lams, mode, measure_time = args
     start = time.perf_counter()
-    for lam in lams:
-        ConeSpace(n=n, lam=lam)   # rejects a lambda outside (0, 1]
-    if not lams:
-        return []
-    decisions = _decide_block(n, np.array(lams), mode)
+    decisions = _decide_block(n, lams, mode)
     # the block's time spread evenly over its points
-    ms = int(round((time.perf_counter() - start) * 1000.0 / len(lams))) if measure_time else 0
-    lam_star = threshold(n)
-    return [ScanRecord(n=n, lam=lam, decision=d, lambda_star=lam_star, wall_time_ms=ms)
-            for lam, d in zip(lams, decisions)]
+    ms = int(round((time.perf_counter() - start) * 1000.0 / lams.size)) if measure_time else 0
+    return list(map(_new, repeat(ScanRecord),
+                    zip(repeat(n), lams.tolist(), decisions, repeat(threshold(n)), repeat(ms))))
 
 
 def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
@@ -144,22 +148,29 @@ def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
          measure_time: bool = True) -> list[ScanRecord]:
     """Decide every point of the grid; output sorted by (n, lambda).
 
-    Each n's lambdas are decided together, in one array pass.  With
-    parallelism > 1 the n-blocks fan out over a process pool; the output is
-    sorted afterwards, so its order never depends on the worker count.
-    wall_time_ms is each n-block's time spread evenly over its points; set
-    measure_time=False for byte-reproducible output.
+    The grid is checked and sorted once per call, and each n's lambdas are
+    decided together, in one array pass, in ascending n.  An n given k times
+    gives each of its rows k times in a row.  With parallelism > 1 the
+    n-blocks fan out over a process pool; the output order never depends on
+    the worker count.  wall_time_ms is each n-block's time spread evenly
+    over its points; set measure_time=False for byte-reproducible output.
     """
-    lams = [float(lam) for lam in lambda_grid]
-    blocks = [(int(n), lams, mode, measure_time) for n in n_range]
+    counts = Counter(int(n) for n in n_range)   # n -> times given, in first-seen order
+    lams = np.fromiter(lambda_grid, dtype=float)
+    if not counts or not lams.size:
+        return []
+    bad = np.flatnonzero(~((lams > 0.0) & (lams <= 1.0)))   # NaN too
+    for n in counts:
+        # one ConeSpace per n: raises on n < 2, else on the first lambda outside (0, 1]
+        ConeSpace(n=n, lam=float(lams[bad[0] if bad.size else 0]))
+    order = np.sort(lams)
+    blocks = [(n, np.repeat(order, k), mode, measure_time) for n, k in sorted(counts.items())]
     if parallelism > 1 and len(blocks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             parts = list(pool.map(_scan_block, blocks))
     else:
         parts = [_scan_block(block) for block in blocks]
-    records = [rec for part in parts for rec in part]
-    records.sort(key=lambda r: (r.n, r.lam))
-    return records
+    return list(chain.from_iterable(parts))
 
 
 def empirical_threshold(records: Sequence[ScanRecord], n: int) -> float:
@@ -195,17 +206,32 @@ def _row(rec: ScanRecord) -> dict:
     }
 
 
+def _csv_lines(records: Iterable[ScanRecord]) -> list[str]:
+    """One CSV line per record.
+
+    Only lambda and margin are formatted per row.  The n, verdict/certificate
+    and lambda_star/wall_time_ms parts are formatted once per run of records
+    that hold the very same objects, as a scan block's records do: identity
+    implies equal text, and an identity test costs less than hashing an Enum.
+    """
+    lines = []
+    n0 = star0 = ms0 = verdict0 = cert0 = object()   # matches no field
+    for n, lam, (verdict, cert, margin, _), star, ms in records:
+        if n is not n0 or star is not star0 or ms is not ms0:
+            n0, star0, ms0 = n, star, ms
+            head, tail = f"{n},", f",{star!r},{ms}"
+        if verdict is not verdict0 or cert is not cert0:
+            verdict0, cert0 = verdict, cert
+            # _value_ is the member's value without the ``value`` property's call
+            middle = f",{verdict._value_},{'' if cert is None else cert._value_},"
+        lines.append(f"{head}{lam!r}{middle}{margin!r}{tail}")
+    return lines
+
+
 def emit(records: Sequence[ScanRecord], format: str, path) -> None:
     """Write records as csv, json, or an svg phase diagram."""
     if format == "csv":
-        lines = [_CSV_HEADER, ",".join(_COLUMNS)]
-        for rec in records:
-            d = rec.decision
-            # _value_ is the member's value without the ``value`` property's call
-            cert = "" if d.certificate is None else d.certificate._value_
-            lines.append(f"{rec.n},{rec.lam!r},{d.verdict._value_},{cert},"
-                         f"{d.margin!r},{rec.lambda_star!r},{rec.wall_time_ms}")
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([_CSV_HEADER, ",".join(_COLUMNS), *_csv_lines(records)]) + "\n"
     elif format == "json":
         text = json.dumps([_row(rec) for rec in records], indent=2) + "\n"
     elif format == "svg":

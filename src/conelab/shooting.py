@@ -472,16 +472,25 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     f_last = math.exp(float(outcome.log_fs[-1]))
     dense = outcome.dense
     t_hi = dense.t_max
+    last_theta, last_value = math.nan, None
+
+    def at(theta):
+        # dense(theta), kept for the next call: the area integrand asks for
+        # f and f' at the same theta
+        nonlocal last_theta, last_value
+        if theta != last_theta:
+            last_theta, last_value = theta, dense(theta)
+        return last_value
 
     def f_eval(theta):
         if theta >= t_hi:
             return f_last
-        return math.exp(float(dense(theta)[1]))
+        return math.exp(float(at(theta)[1]))
 
     def f_deriv(theta):
         if theta >= t_hi:
             return 0.0
-        H, logf = dense(theta)
+        H, logf = at(theta)
         return -lam * math.exp(float(logf)) / math.tan(float(H))
 
     return RadialProfile(lo=0.0, hi=HALF_PI, eval=f_eval, deriv=f_deriv,

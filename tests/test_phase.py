@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from conelab import phase
 from conelab.competitors import competitor_search
 from conelab.geometry import ConeSpace
-from conelab.phase import (Certificate, Verdict, decide, emit,
+from conelab.phase import (Certificate, ScanRecord, Verdict, decide, emit,
                            empirical_threshold, parse_csv, scan, threshold)
 
 
@@ -99,6 +100,66 @@ class TestScan:
     def test_out_of_range_lambda_rejected(self):
         with pytest.raises(ValueError):
             scan([3], [0.9, 1.5])
+
+    def test_order_and_content_match_pointwise_reference(self, tmp_path):
+        # an n given twice, lambdas shuffled, one lambda given twice
+        lams = [float(x) for x in np.linspace(0.6, 1.0, 41)] + [threshold(3), 0.75]
+        random.Random(3).shuffle(lams)
+        ns = [3, 2, 3]
+        recs = scan(ns, lams, measure_time=False)
+        expected = sorted((ScanRecord(n, lam, decide(ConeSpace(n, lam)), threshold(n), 0)
+                           for n in ns for lam in lams), key=lambda r: (r.n, r.lam))
+        assert recs == expected
+        assert {r.decision.certificate for r in recs} == {Certificate.BARRIER_LINE,
+                                                          Certificate.COMPETITOR_FOUND}
+        rows = [phase._row(r) for r in expected]
+        emit(recs, "csv", tmp_path / "out.csv")
+        lines = ["# cone-min-lab v1", ",".join(rows[0])]
+        lines += [",".join(str(value) for value in row.values()) for row in rows]
+        assert (tmp_path / "out.csv").read_text() == "\n".join(lines) + "\n"
+        emit(recs, "json", tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_text() == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, 1.5])
+    def test_bad_lambda_rejected_at_any_position(self, bad):
+        with pytest.raises(ValueError, match=r"cross-section radius must be in \(0, 1\]"):
+            scan([3], [0.9, bad, 0.8])
+
+    def test_first_bad_lambda_named(self):
+        with pytest.raises(ValueError, match="got 1.5"):
+            scan([3, 4], [0.9, 1.5, -0.5])
+
+    def test_bad_dimension_rejected(self):
+        with pytest.raises(ValueError, match="cross-section dimension must be >= 2"):
+            scan([1], [0.8])
+        with pytest.raises(ValueError, match="cross-section dimension must be >= 2"):
+            scan([3, 1], [0.8])
+        assert scan([1], []) == []
+
+    def test_records_immutable(self):
+        rec = scan([3], [0.9])[0]
+        with pytest.raises(AttributeError):
+            rec.n = 4
+        with pytest.raises(AttributeError):
+            rec.decision.margin = 0.0
+
+    def test_one_validation_and_one_certificate_pass_per_n(self, monkeypatch):
+        # a deterministic work guard: no per-point ConeSpace, one barrier pass per n
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(phase, "ConeSpace", counted("ConeSpace", phase.ConeSpace))
+        monkeypatch.setattr(phase, "barrier_margins",
+                            counted("barrier_margins", phase.barrier_margins))
+        recs = scan(range(2, 7), np.linspace(0.5, 1.0, 2001), measure_time=False)
+        assert len(recs) == 10005
+        assert calls["ConeSpace"] <= 5
+        assert calls["barrier_margins"] == 5
 
     def test_block_matches_pointwise_decide(self):
         # one n-block mixing the barrier with competitor junctions both at

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -491,6 +492,32 @@ class TestFluxConsistency:
         area, flux = flux_consistency(space, H0, out)
         assert area == pytest.approx(flux, rel=1e-6)
         assert flux < 1.0 / 3.0
+
+    def test_one_dense_evaluation_per_integrand_node(self, monkeypatch):
+        # f and f' at one theta share one evaluation of the continuous extension
+        space = ConeSpace(4, 0.8)
+        H0, out = find_extending_shots(space, count=1)[0]
+        area, _ = flux_consistency(space, H0, out)
+        calls = {"dense": 0, "integrand": 0}
+
+        class Counted:
+            t_max = out.dense.t_max
+
+            def __call__(self, theta):
+                calls["dense"] += 1
+                return out.dense(theta)
+
+        def counted_s_functional(profile, space, cfg):
+            def f_eval(theta):
+                calls["integrand"] += 1   # the integrand evaluates f once per node
+                return profile.eval(theta)
+            return s_functional(dataclasses.replace(profile, eval=f_eval), space, cfg)
+
+        monkeypatch.setattr(shooting, "s_functional", counted_s_functional)
+        counted_area, _ = flux_consistency(space, H0, dataclasses.replace(out, dense=Counted()))
+        assert calls["integrand"] > 0
+        assert calls["dense"] <= calls["integrand"]
+        assert counted_area == area
 
     def test_initial_slope(self):
         space = ConeSpace(3, 0.9)
