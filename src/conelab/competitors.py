@@ -10,6 +10,7 @@ drops below 1/n.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -296,34 +297,45 @@ def _g_integrand(t: float, n: int) -> float:
     return 1.0 / math.sqrt(math.expm1(a)) if a < 40.0 else math.exp(-0.5 * a)
 
 
+# the largest junction angle search_competitors returns; the competitor's
+# tail integral splits there, so every witness's junction lies at or below it
+_DELTA_CAP = 0.3
+_LOG_DELTA_CAP = math.log(_DELTA_CAP)
+
+
+@functools.cache
+def _g_cap_to_half_pi(n: int, tol: float) -> float:
+    """Integral of _g_integrand from _DELTA_CAP to pi/2: a constant of (n, tol)."""
+    val, _ = integrate.quad(_g_integrand, _DELTA_CAP, HALF_PI, args=(n,), epsabs=tol,
+                            epsrel=tol, limit=200)
+    return val
+
+
 def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
-    """Integral of _g_integrand from delta to pi/2."""
+    """Integral of _g_integrand from delta to pi/2.
+
+    Split at s = _DELTA_CAP.  For delta <= s it is the integral from delta
+    to s, taken in tau = log t, plus the integral from s to pi/2, which
+    depends on n and tol alone and is computed once per (n, tol).  For
+    delta > s it is one direct quad.  n = 2 has the closed form
+    -log sin(delta).
+    """
     n = space.n
     if n == 2:
         # integrand is exactly cot(t)
         return -math.log(math.sin(delta))
-
-    total = 0.0
-    split = 1e-3
-    if delta < split:
-        # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero; in tau = log t the leading
-        # term integrates exactly and the remainder decays like e^(2 tau)
-        lead = 1.0 / math.sqrt(n - 1.0)
-        lo_tau, hi_tau = math.log(delta), math.log(split)
-        total += (hi_tau - lo_tau) * lead
-        rem_lo = max(lo_tau, -40.0)  # remainder below e^-80: lost in rounding
-        # 1e-9 absolute in the exponent keeps the resulting area accurate
-        # to ~1e-10
-        val, _ = integrate.quad(
-            lambda tau: math.exp(tau) * _g_integrand(math.exp(tau), n) - lead,
-            rem_lo, hi_tau, epsabs=1e-9, epsrel=1e-8, limit=200)
-        total += val
-        lo = split
-    else:
-        lo = delta
-    val, _ = integrate.quad(_g_integrand, lo, HALF_PI, args=(n,), epsabs=tol, epsrel=tol,
-                            limit=200)
-    return total + val
+    if delta > _DELTA_CAP:
+        val, _ = integrate.quad(_g_integrand, delta, HALF_PI, args=(n,), epsabs=tol,
+                                epsrel=tol, limit=200)
+        return val
+    # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero; in tau = log t the leading
+    # term integrates exactly and the remainder decays like e^(2 tau)
+    lead = 1.0 / math.sqrt(n - 1.0)
+    lo_tau = math.log(delta)
+    rem_lo = max(lo_tau, -40.0)  # remainder below e^-80: lost in rounding
+    rem, _ = integrate.quad(lambda tau: math.exp(tau) * _g_integrand(math.exp(tau), n) - lead,
+                            rem_lo, _LOG_DELTA_CAP, epsabs=tol, epsrel=tol, limit=200)
+    return (_LOG_DELTA_CAP - lo_tau) * lead + rem + _g_cap_to_half_pi(n, tol)
 
 
 def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
@@ -360,7 +372,10 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
 
     The head is integrated in the scaled variable u = theta/delta so tiny
     junction angles stay well conditioned; the tail telescopes exactly to
-    (alpha^n - f(pi/2)^n)/n once g(pi/2) is known.
+    (alpha^n - f(pi/2)^n)/n once g(pi/2) is known.  g(pi/2) splits at
+    delta = 0.3, the cap on the search's junctions: the part above it is a
+    constant of n, integrated once per n, so a junction below the cap costs
+    one tail quad, in log theta up to 0.3 (see ``_g_to_half_pi``).
     """
     comp = ExpCompetitor(space=space, delta=delta, alpha=alpha)
     n, lam = space.n, space.lam
@@ -411,6 +426,7 @@ class Searches(NamedTuple):
     alpha: np.ndarray
     log_delta: np.ndarray
     margin: np.ndarray
+    log_gap: np.ndarray       # log(gain) - log(cost) of the junction; -inf where p >= 2
     evaluations: np.ndarray
 
 
@@ -423,9 +439,21 @@ _JUNCTION_ALPHAS = np.array([
     0.17190532347621906, 0.393338011293845, 0.9,
     0.3, 0.4, 0.5, 0.6000000000000001, 0.7000000000000001, 0.8, 0.9])
 _JUNCTION_STRETCH = 1.5       # log delta as a multiple of l*
-_LOG_DELTA_CAP = math.log(0.3)
 # log of the smallest normal double: a smaller delta is subnormal or 0.0
 _LOG_TINY = math.log(sys.float_info.min)
+
+
+@functools.cache
+def _junction_alpha(n: int):
+    """(alpha, log alpha, C_alpha) of the first of _JUNCTION_ALPHAS with the largest C_alpha.
+
+    C_alpha = n log alpha - log1p(-alpha^n) + 2 log(-log alpha) holds the
+    alpha terms of search_competitors' C, so the choice depends on n alone.
+    """
+    la = np.log(_JUNCTION_ALPHAS)
+    c_alpha = n * la - np.log1p(-np.exp(n * la)) + 2.0 * np.log(-la)
+    k = int(c_alpha.argmax())
+    return _JUNCTION_ALPHAS[k], la[k], c_alpha[k]
 
 
 def search_competitors(n: int, lams) -> Searches:
@@ -441,31 +469,26 @@ def search_competitors(n: int, lams) -> Searches:
     lams = np.asarray(lams, dtype=float)
     p = n * lams / math.sqrt(n - 1)
     p_minus_2 = _decay_power_minus_2(n, lams)
-    la = np.log(_JUNCTION_ALPHAS)
-    c_alpha = n * la - np.log1p(-np.exp(n * la)) + 2.0 * np.log(-la)
-    k = int(c_alpha.argmax())
+    alpha_k, la_k, c_k = _junction_alpha(n)
     below = p_minus_2 < 0.0      # p < 2: the exact sign of D
     log_delta = np.full(lams.shape, _LOG_DELTA_CAP)
-    l_star = (c_alpha[k] - 2.0 * np.log(lams[below]) + math.log(2.0)) / -p_minus_2[below]
+    l_star = (c_k - 2.0 * np.log(lams[below]) + math.log(2.0)) / -p_minus_2[below]
     ld = np.minimum(_JUNCTION_STRETCH * l_star, _LOG_DELTA_CAP)
     # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
     log_delta[below] = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
-    found = np.zeros(lams.shape, dtype=bool)
-    found[below] = _log_margin(n, lams[below], p_minus_2[below], log_delta[below], la[k]) > 0.0
-    alpha = np.full(lams.shape, _JUNCTION_ALPHAS[k])
+    log_gap = np.full(lams.shape, -np.inf)
+    log_gap[below] = _log_margin(n, lams[below], p_minus_2[below], log_delta[below], la_k)
+    alpha = np.full(lams.shape, alpha_k)
     # delta underflows to 0.0 below log delta ~ -745, and the margin with it
-    margin = _margin(n, lams, p, la[k], np.exp(log_delta))
-    return Searches(found=found, alpha=alpha, log_delta=log_delta, margin=margin,
-                    evaluations=below.astype(int))
+    margin = _margin(n, lams, p, la_k, np.exp(log_delta))
+    return Searches(found=log_gap > 0.0, alpha=alpha, log_delta=log_delta, margin=margin,
+                    log_gap=log_gap, evaluations=below.astype(int))
 
 
 def competitor_search(space: ConeSpace) -> SearchResult:
     """``search_competitors`` for one cone, with the witness's delta, bound and log gap."""
     s = search_competitors(space.n, [space.lam])
-    found = bool(s.found[0])
-    alpha, log_delta, margin = float(s.alpha[0]), float(s.log_delta[0]), float(s.margin[0])
-    return SearchResult(found=found, delta=math.exp(log_delta), log_delta=log_delta,
-                        alpha=alpha, bound=1.0 / space.n - margin, margin=margin,
-                        log_margin_gap=(exp_profile_log_margin(space, log_delta, alpha)
-                                        if found else -math.inf),
-                        evaluations=int(s.evaluations[0]))
+    log_delta, margin = float(s.log_delta[0]), float(s.margin[0])
+    return SearchResult(found=bool(s.found[0]), delta=math.exp(log_delta), log_delta=log_delta,
+                        alpha=float(s.alpha[0]), bound=1.0 / space.n - margin, margin=margin,
+                        log_margin_gap=float(s.log_gap[0]), evaluations=int(s.evaluations[0]))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.competitors import (CatenoidParams, ExpCompetitor, _g_to_half_pi,
+from conelab import competitors
+from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_to_half_pi,
                                  _log_sec,
                                  catenoid_area_closed_form, catenoid_profile,
                                  catenoid_residuals, check_length_profile,
@@ -207,6 +208,57 @@ class TestExpArea:
                 exact = -mpmath.log(mpmath.cos(mpmath.mpf(t)))
                 assert abs(_log_sec(t) - exact) <= 1e-15 * exact
 
+    def test_tail_integral_matches_mpmath(self):
+        # both sides of the split at _DELTA_CAP, against 60 digits summed
+        # from pi/2 down over the deltas, in tau = log t below t = 1; expm1
+        # keeps cos^(2-2n) t - 1 from rounding to 0 at tiny t; degree 5 of
+        # tanh-sinh keeps each piece's error estimate far below 1e-30
+        deltas = (1.0, _DELTA_CAP, _DELTA_CAP * (1 - 1e-12), 1e-3, 1e-6, 1e-12, 1e-300)
+        for n in (3, 4, 6, 10, 30):
+            space = ConeSpace(n, 0.5)
+            with mpmath.workdps(60):
+                def dg(t):
+                    log_sec = -mpmath.log1p(-2 * mpmath.sin(t / 2) ** 2)
+                    return 1 / mpmath.sqrt(mpmath.expm1((2 * n - 2) * log_sec))
+
+                def dg_tau(tau):
+                    return mpmath.exp(tau) * dg(mpmath.exp(tau))
+
+                exact, hi = mpmath.mpf(0), mpmath.pi / 2
+                for delta in deltas:
+                    lo = mpmath.mpf(delta)
+                    if lo >= 1:
+                        piece, err = mpmath.quad(dg, [lo, hi], error=True, maxdegree=5)
+                    else:
+                        piece, err = mpmath.quad(dg_tau, [mpmath.log(lo), mpmath.log(hi)],
+                                                 error=True, maxdegree=5)
+                    assert err < 1e-30
+                    exact, hi = exact + piece, lo
+                    assert abs(_g_to_half_pi(space, delta) - exact) <= 1e-14 * exact, (n, delta)
+
+    def test_tail_above_cap_integrated_once_per_n(self, monkeypatch):
+        # after the first area at n = 4, a second junction below the cap
+        # makes two quads: the head and the tail's remainder below the cap
+        calls = []
+        quad = competitors.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(competitors.integrate, "quad", counting_quad)
+        competitors._g_cap_to_half_pi.cache_clear()
+        space = ConeSpace(4, 0.8)
+        first = exp_profile_area(space, 1e-5, 0.5)
+        assert len(calls) == 3 and (_DELTA_CAP, HALF_PI) in calls
+        calls.clear()
+        exp_profile_area(space, 0.01, 0.3)
+        assert len(calls) == 2 and (_DELTA_CAP, HALF_PI) not in calls
+        calls.clear()
+        competitors._g_cap_to_half_pi.cache_clear()
+        assert exp_profile_area(space, 1e-5, 0.5) == first
+        assert len(calls) == 3
+
     def test_junction_continuity(self):
         f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)
         assert abs(f(0.01 - 1e-13) - f(0.01 + 1e-13)) < 1e-11
@@ -266,6 +318,7 @@ class TestSearch:
             exp_profile_bound(space, res.delta, res.alpha), abs=1e-15)
         assert res.bound == 1.0 / 3.0 - res.margin
         assert res.log_delta == math.log(0.3) and res.evaluations == 0
+        assert res.log_margin_gap == -math.inf
 
     def test_log_gap_matches_mpmath(self):
         # a junction with log delta in (-14, -5), where log sin(delta)
