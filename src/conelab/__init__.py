@@ -13,7 +13,7 @@ from types import ModuleType as _ModuleType
 from .competitors import (CatenoidParams, ExpCompetitor, SearchResult,
                           catenoid_area_closed_form, catenoid_profile,
                           competitor_search, disk_profile, exp_profile,
-                          exp_profile_area, exp_profile_bound,
+                          exp_profile_area, exp_profile_log_margin,
                           exp_profile_margin, solve_catenoid)
 from .errors import NumericError, QuadratureError
 from .geometry import (ConeSpace, CrossSectionCurvature, ExactCone,

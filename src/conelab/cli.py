@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, phase, shooting, stability
 from .competitors import (competitor_search, exp_profile_area,
-                          exp_profile_bound)
+                          exp_profile_margin)
 from .geometry import ConeSpace
 
 
@@ -139,7 +139,7 @@ def _cmd_shoot(args) -> int:
 def _cmd_competitor(args) -> int:
     space = ConeSpace(n=args.n, lam=args.lam)
     if args.delta is not None and args.alpha is not None:
-        bound = exp_profile_bound(space, args.delta, args.alpha)
+        bound = 1.0 / space.n - exp_profile_margin(space, args.delta, args.alpha)
         numeric = exp_profile_area(space, args.delta, args.alpha)
         report = {"n": space.n, "lambda": space.lam, "delta": args.delta,
                   "alpha": args.alpha, "bound": bound, "numeric": numeric,

@@ -3,7 +3,8 @@
 Two families: a catenoid neck glued to an exponentially decaying disk for
 2-dimensional surfaces, and an exponential spindle glued to an integral
 profile for radial graphs in any dimension.  Each carries a closed-form area
-(or upper bound) plus a quadrature route.  Below the threshold one
+(or upper bound) plus a quadrature route; both tails take their exponent g
+from one quadrature in log t, ``_log_quad``.  Below the threshold one
 closed-form junction per lambda gives a competitor whose normalized area
 drops below 1/n.
 """
@@ -18,7 +19,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.integrate import solve_ivp
 
 from .errors import NumericError
 from .geometry import ConeSpace, threshold_discriminant
@@ -151,50 +151,55 @@ def check_length_profile(L: LengthProfile, samples: int = 64, tol: float = 1e-8)
     work; tabulated length profiles must satisfy it.
     """
     ts = np.linspace(0.0, L.hi, samples + 1)
-    Ls = np.array([L.eval(t) for t in ts])
+    Ls = np.array([L(t) for t in ts])
     F = integrate.cumulative_trapezoid(Ls, ts, initial=0.0)
     worst = float(np.max(Ls**2 + F**2) - L.L0**2)
     if worst > tol * L.L0**2:
         raise ValueError(f"length profile violates L^2 + F^2 <= L(0)^2 by {worst:.3e}")
 
 
+def _log_quad(fn, lo: float, hi: float, tol: float, lead: float = 0.0) -> float:
+    """Integral of fn(t) from lo to hi (0 < lo <= hi), taken in tau = log t.
+
+    lead, the limit of t fn(t) as t -> 0, integrates exactly; quad takes the
+    rest, which must then decay like t^2 and is lost in rounding below tau = -40
+    (hi lies above that).
+    """
+    lo_tau, hi_tau = math.log(lo), math.log(hi)
+    rem_lo = max(lo_tau, -40.0) if lead else lo_tau
+    rem, _ = integrate.quad(lambda tau: math.exp(tau) * fn(math.exp(tau)) - lead,
+                            rem_lo, hi_tau, epsabs=tol, epsrel=tol, limit=200)
+    return (hi_tau - lo_tau) * lead + rem
+
+
 def disk_profile(delta: float, alpha: float, L: LengthProfile,
                  tol: float = 1e-12):
     """Exponential-profile disk r = alpha * exp(-g(t)) on t >= delta.
 
-    g integrates L / sqrt(L0^2 - L^2) from delta; the area telescopes to
-    L0 * (alpha^2 - f_end^2) / 2.  Returns (profile, area).
+    g integrates L / sqrt((L0 - L)(L0 + L)) from delta in log t, L0 - L the
+    deficit; the area telescopes to L0 (alpha^2 - f_end^2) / 2.  Returns (profile, area).
     """
     if not 0.0 < delta < L.hi:
         raise ValueError(f"junction {delta} outside the length profile domain")
     check_length_profile(L)
-    L0 = L.L0
-    if L.eval(delta) >= L0:
+    L0, hi = L.L0, L.hi
+    if L.deficit(delta) <= 0.0:
         raise NumericError("integrand singular at the junction: L(delta) >= L(0)")
 
-    def dg(t, _y):
-        Lt = L.eval(t)
-        return [Lt / math.sqrt(max(L0 * L0 - Lt * Lt, 0.0))]
+    def dg(t):
+        d = L.deficit(t)
+        return (L0 - d) / math.sqrt(d * (2.0 * L0 - d))
 
-    sol = solve_ivp(dg, (delta, L.hi), [0.0], method="RK45", rtol=tol, atol=tol,
-                    dense_output=True)
-    if not sol.success:
-        raise NumericError("disk profile integration failed", residual=None)
-    g_end = float(sol.y[0][-1])
-    f_end = alpha * math.exp(-g_end)
-    area = 0.5 * L0 * (alpha**2 - f_end**2)
+    def g(t):
+        return _log_quad(dg, delta, min(t, hi), tol)
 
-    def g_eval(t):
-        return float(sol.sol(min(t, L.hi))[0])
+    # alpha^2 - f_end^2 = -alpha^2 expm1(-2 g_end)
+    area = -0.5 * L0 * alpha**2 * math.expm1(-2.0 * g(hi))
 
     def f_eval(t):
-        return alpha * math.exp(-g_eval(t))
+        return alpha * math.exp(-g(t))
 
-    def f_deriv(t):
-        return -f_eval(t) * dg(t, None)[0]
-
-    profile = RadialProfile(lo=delta, hi=L.hi, eval=f_eval, deriv=f_deriv)
-    return profile, area
+    return RadialProfile(lo=delta, hi=hi, eval=f_eval, deriv=lambda t: -f_eval(t) * dg(t)), area
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +225,11 @@ class ExpCompetitor:
         return -math.log(self.alpha) / self.delta
 
 
-def _decay_power_minus_2(n: int, lams) -> np.ndarray:
-    """p - 2 = D / (sqrt(n-1) (n lam + 2 sqrt(n-1))) per lambda, D the threshold discriminant."""
-    lams = np.asarray(lams, dtype=float)
+def _decay_power_minus_2(n: int, lams: np.ndarray, disc=None) -> np.ndarray:
+    """p - 2 = D / (sqrt(n-1) (n lam + 2 sqrt(n-1))) per lambda; D = disc, if known."""
     root = math.sqrt(n - 1)
-    return threshold_discriminant(n, lams) / (root * (n * lams + 2.0 * root))
+    disc = threshold_discriminant(n, lams) if disc is None else disc
+    return disc / (root * (n * lams + 2.0 * root))
 
 
 def _margin(n: int, lam, p, log_alpha, delta):
@@ -256,16 +261,13 @@ def _log_margin(n: int, lam, p_minus_2, log_delta, log_alpha):
             + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
 
 
-def exp_profile_bound(space: ConeSpace, delta: float, alpha: float) -> float:
-    """Closed-form upper bound on the normalized area of the competitor."""
-    return 1.0 / space.n - exp_profile_margin(space, delta, alpha)
-
-
 def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
-    """1/n minus the closed-form bound, in a cancellation-free arrangement.
+    """1/n minus the closed-form bound on the competitor's normalized area.
 
-    Accurate for junction angles far below the square root of machine
-    epsilon, where the direct bound formula loses every significant digit.
+    The bound is 1/n minus this margin.  The arrangement is
+    cancellation-free, so it stays accurate for junction angles far below
+    the square root of machine epsilon, where the direct bound formula
+    loses every significant digit.
     """
     p = space.n * space.lam / math.sqrt(space.n - 1)
     return float(_margin(space.n, space.lam, p, math.log(alpha), delta))
@@ -278,7 +280,7 @@ def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> 
     the logarithm of the junction angle alone, so junctions far below the
     smallest positive double remain decidable.
     """
-    p_minus_2 = _decay_power_minus_2(space.n, [space.lam])[0]
+    p_minus_2 = _decay_power_minus_2(space.n, np.array([space.lam]))[0]
     return float(_log_margin(space.n, space.lam, p_minus_2, log_delta, math.log(alpha)))
 
 
@@ -315,10 +317,10 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
     """Integral of _g_integrand from delta to pi/2.
 
     Split at s = _DELTA_CAP.  For delta <= s it is the integral from delta
-    to s, taken in tau = log t, plus the integral from s to pi/2, which
-    depends on n and tol alone and is computed once per (n, tol).  For
-    delta > s it is one direct quad.  n = 2 has the closed form
-    -log sin(delta).
+    to s, taken in tau = log t by ``_log_quad``, plus the integral from s
+    to pi/2, which depends on n and tol alone and is computed once per
+    (n, tol).  For delta > s it is one direct quad.  n = 2 has the closed
+    form -log sin(delta).
     """
     n = space.n
     if n == 2:
@@ -328,41 +330,31 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
         val, _ = integrate.quad(_g_integrand, delta, HALF_PI, args=(n,), epsabs=tol,
                                 epsrel=tol, limit=200)
         return val
-    # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero; in tau = log t the leading
-    # term integrates exactly and the remainder decays like e^(2 tau)
-    lead = 1.0 / math.sqrt(n - 1.0)
-    lo_tau = math.log(delta)
-    rem_lo = max(lo_tau, -40.0)  # remainder below e^-80: lost in rounding
-    rem, _ = integrate.quad(lambda tau: math.exp(tau) * _g_integrand(math.exp(tau), n) - lead,
-                            rem_lo, _LOG_DELTA_CAP, epsabs=tol, epsrel=tol, limit=200)
-    return (_LOG_DELTA_CAP - lo_tau) * lead + rem + _g_cap_to_half_pi(n, tol)
+    # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero: the lead 1/sqrt(n-1) of t g'(t)
+    return (_log_quad(lambda t: _g_integrand(t, n), delta, _DELTA_CAP, tol,
+                      lead=1.0 / math.sqrt(n - 1.0))
+            + _g_cap_to_half_pi(n, tol))
 
 
 def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
-    """The assembled piecewise competitor profile on [0, pi/2]."""
-    comp = ExpCompetitor(space=space, delta=delta, alpha=alpha)
-    mu = comp.mu
-    n = space.n
+    """The assembled piecewise competitor profile on [0, pi/2].
+
+    The tail's g(theta) is G(delta) - G(theta), G = ``_g_to_half_pi``.
+    """
+    mu = ExpCompetitor(space=space, delta=delta, alpha=alpha).mu
+    n, lam = space.n, space.lam
 
     head = RadialProfile(lo=0.0, hi=delta,
                          eval=lambda th: math.exp(-mu * th),
                          deriv=lambda th: -mu * math.exp(-mu * th))
 
-    sol = solve_ivp(lambda th, _y: [_g_integrand(th, n)], (delta, HALF_PI), [0.0], method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise NumericError("competitor tail integration failed")
-
-    def g(th):
-        return float(sol.sol(min(th, HALF_PI))[0])
+    g_delta = _g_to_half_pi(space, delta)
 
     def tail_eval(th):
-        return alpha * math.exp(-space.lam * g(th))
+        return alpha * math.exp(-lam * (g_delta - _g_to_half_pi(space, min(th, HALF_PI))))
 
-    def tail_deriv(th):
-        return -space.lam * tail_eval(th) * _g_integrand(th, n)
-
-    tail = RadialProfile(lo=delta, hi=HALF_PI, eval=tail_eval, deriv=tail_deriv)
+    tail = RadialProfile(lo=delta, hi=HALF_PI, eval=tail_eval,
+                         deriv=lambda th: -lam * tail_eval(th) * _g_integrand(th, n))
     return RadialProfile.piecewise([head, tail])
 
 
@@ -456,7 +448,7 @@ def _junction_alpha(n: int):
     return _JUNCTION_ALPHAS[k], la[k], c_alpha[k]
 
 
-def search_competitors(n: int, lams) -> Searches:
+def search_competitors(n: int, lams, disc=None, /) -> Searches:
     """One closed-form junction per lambda, found where p < 2 and its log gap is positive.
 
     For tiny delta the log gap is (p-2) l + C in l = log delta, with
@@ -464,11 +456,11 @@ def search_competitors(n: int, lams) -> Searches:
     and is 0 at l* = C / (2-p).  The junction takes the first alpha of
     _JUNCTION_ALPHAS with the largest C and l = min(1.5 l*, log 0.3)
     (gap ~ |C|/2 below the cap), or the smallest normal delta where half
-    that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.
+    that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.  disc is D, if known.
     """
     lams = np.asarray(lams, dtype=float)
     p = n * lams / math.sqrt(n - 1)
-    p_minus_2 = _decay_power_minus_2(n, lams)
+    p_minus_2 = _decay_power_minus_2(n, lams, disc)
     alpha_k, la_k, c_k = _junction_alpha(n)
     below = p_minus_2 < 0.0      # p < 2: the exact sign of D
     log_delta = np.full(lams.shape, _LOG_DELTA_CAP)

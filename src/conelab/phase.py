@@ -21,7 +21,7 @@ import numpy as np
 
 from .competitors import competitor_search, search_competitors  # noqa: F401
 from .errors import NumericError
-from .geometry import ConeSpace
+from .geometry import ConeSpace, threshold_discriminant
 from .shooting import barrier_certificate, barrier_margins  # noqa: F401
 
 # competitor_search and barrier_certificate, the single-point forms of the
@@ -101,7 +101,8 @@ def _decisions(path: np.ndarray, margins: np.ndarray) -> list[Decision]:
 def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
     """``decide`` for every lambda of one n at once, in the order given.
 
-    A barrier line wherever the exact D >= 0, that is wherever its slope c
+    D is worked out once for the block, and both certificates take it.  A
+    barrier line wherever the exact D >= 0, that is wherever its slope c
     exists, with the normalized margin; the closed-form competitor junction
     on what it leaves, with its margin; Undetermined where that junction
     fails its check.  If either certificate raises NumericError, ValueError
@@ -115,12 +116,13 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
     if mode == "formula-only":
         return _decisions(np.where(offsets >= 0.0, _ABOVE, _BELOW), offsets)
     try:
-        barrier = barrier_margins(n, lams)
+        disc = threshold_discriminant(n, lams)
+        barrier = barrier_margins(n, lams, disc)
         path = np.where(np.isnan(barrier), _NEITHER, _BARRIER)
         margins = np.where(path == _BARRIER, barrier, offsets)
         rest = np.flatnonzero(path == _NEITHER)
         if rest.size:
-            search = search_competitors(n, lams[rest])
+            search = search_competitors(n, lams[rest], disc[rest])
             found = rest[search.found]
             path[found] = _COMPETITOR
             margins[found] = search.margin[search.found]

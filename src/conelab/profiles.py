@@ -111,20 +111,23 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class LengthProfile:
-    """Level-set length t -> L(t) of distance tubes in the cross-section."""
+    """Level-set length L(t) = L0 - deficit(t) of distance tubes in the cross-section.
 
-    eval: Callable[[float], float]
+    The deficit is stored, so L0 - L keeps its digits at small t.
+    """
+
+    deficit: Callable[[float], float]
     L0: float
     hi: float
 
     def __call__(self, t: float) -> float:
-        return self.eval(t)
+        return self.L0 - self.deficit(t)
 
     @classmethod
     def round_sphere(cls, L0: float = 2.0 * math.pi, scale: float = 1.0) -> "LengthProfile":
-        """L(t) = L0 cos(t / scale) on [0, scale*pi/2] (round sphere of radius scale)."""
+        """L(t) = L0 cos(t / scale) on [0, scale*pi/2], deficit 2 L0 sin^2(t / (2 scale))."""
         hi = scale * math.pi / 2.0
-        return cls(eval=lambda t: L0 * math.cos(t / scale) if t <= hi else 0.0,
+        return cls(deficit=lambda t: 2.0 * L0 * math.sin(0.5 * t / scale) ** 2 if t <= hi else L0,
                    L0=L0, hi=hi)
 
     @classmethod
@@ -136,8 +139,8 @@ class LengthProfile:
         if np.any(Ls < 0.0) or np.any(Ls > Ls[0]):
             raise ValueError("need 0 <= L(t) <= L(0)")
         spline = CubicSpline(ts, Ls)
-        return cls(eval=lambda t: max(float(spline(t)), 0.0), L0=float(Ls[0]),
-                   hi=float(ts[-1]))
+        L0 = float(Ls[0])
+        return cls(deficit=lambda t: L0 - max(float(spline(t)), 0.0), L0=L0, hi=float(ts[-1]))
 
 
 def _adaptive_quad(fn, lo, hi, cfg: QuadratureConfig, points=()):
@@ -161,7 +164,7 @@ def graph_area(f: RadialProfile, L: LengthProfile,
 
     def integrand(t):
         v = f.eval(t)
-        return v * L.eval(t) * math.hypot(f.deriv(t), v)
+        return v * L(t) * math.hypot(f.deriv(t), v)
 
     return _adaptive_quad(integrand, f.lo, hi, cfg, points=f.breakpoints)
 

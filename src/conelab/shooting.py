@@ -85,13 +85,15 @@ def h_rhs(theta: float, H: float, space: ConeSpace) -> float:
 BARRIER_SAMPLES = 1000  # interior sample angles of barrier_certificate
 
 
-def _larger_roots(n: int, lams: np.ndarray) -> np.ndarray:
-    """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where the exact D < 0."""
-    nl = n * lams
-    disc = threshold_discriminant(n, lams)
+def _larger_roots(n: int, lams: np.ndarray, disc=None) -> np.ndarray:
+    """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where the exact D < 0.
+
+    D = disc, or ``threshold_discriminant(n, lams)`` if None.
+    """
+    disc = threshold_discriminant(n, lams) if disc is None else disc
     real = disc >= 0.0
     cs = np.full(lams.shape, np.nan)
-    cs[real] = (nl[real] + np.sqrt(disc[real])) / 2.0
+    cs[real] = (n * lams[real] + np.sqrt(disc[real])) / 2.0
     return cs
 
 
@@ -107,18 +109,18 @@ def barrier_slope(space: ConeSpace) -> Optional[float]:
     return None if roots is None else roots[1]
 
 
-def barrier_margins(n: int, lams) -> np.ndarray:
+def barrier_margins(n: int, lams, disc=None, /) -> np.ndarray:
     """Normalized margin (n-1)(c^2-1)/(3c) of the barrier line of every lambda.
 
-    NaN where the exact D < 0 and no line exists.  Along H = c*theta the
-    margin is m(theta) = H' - c = (n-1)(1/c - tan(theta)/tan(c*theta)).
+    NaN where the exact D < 0 and no line exists; disc is D, if known.
+    Along H = c*theta the margin is m(theta) = H' - c = (n-1)(1/c - tan(theta)/tan(c*theta)).
     Every Taylor coefficient a_k of tan is positive (Abramowitz & Stegun
     4.3.67), so tan(c theta) - c tan(theta) = sum a_k (c^(2k+1) - c)
     theta^(2k+1) >= 0 for c >= 1 and 0 < c*theta < pi/2: the line is a
     barrier wherever D >= 0.  The normalized margin is the theta -> 0 limit
     of m(theta)/theta^2, which a 50-digit probe found to be its infimum.
     """
-    cs = _larger_roots(n, np.asarray(lams, dtype=float))
+    cs = _larger_roots(n, np.asarray(lams, dtype=float), disc)
     return (n - 1) * (cs - 1.0) * (cs + 1.0) / (3.0 * cs)
 
 

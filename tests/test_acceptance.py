@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from conelab.competitors import (catenoid_area_closed_form, competitor_search,
-                                 disk_profile, exp_profile_area,
-                                 exp_profile_bound, solve_catenoid)
+                                 disk_profile, exp_profile_area, solve_catenoid)
 from conelab.geometry import (ConeSpace, RevolutionSurface, density_ratio,
                               equator_cone)
 from conelab.phase import empirical_threshold, scan, threshold

@@ -12,8 +12,7 @@ from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_t
                                  catenoid_area_closed_form, catenoid_profile,
                                  catenoid_residuals, check_length_profile,
                                  competitor_search, disk_profile, exp_profile,
-                                 exp_profile_area, exp_profile_bound,
-                                 exp_profile_log_margin, exp_profile_margin,
+                                 exp_profile_area, exp_profile_log_margin, exp_profile_margin,
                                  search_competitors, solve_catenoid)
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.profiles import LengthProfile, graph_area, s_functional
@@ -91,12 +90,15 @@ class TestCatenoid:
 
 
 class TestDisk:
+    TINY_DELTAS = (0.3, 1e-2, 1e-4, 1e-6, 1e-9)
+
     def test_round_sphere_closed_form(self):
-        delta, alpha = 0.1, 0.5
-        profile, area = disk_profile(delta, alpha, LengthProfile.round_sphere())
-        assert area == pytest.approx(0.5 * L0 * alpha**2 * math.cos(delta) ** 2,
-                                     abs=1e-10)
-        assert profile(HALF_PI) == pytest.approx(alpha * math.sin(delta), rel=1e-9)
+        alpha = 0.5
+        for delta in (0.1,) + self.TINY_DELTAS:
+            profile, area = disk_profile(delta, alpha, LengthProfile.round_sphere())
+            assert area == pytest.approx(0.5 * L0 * alpha**2 * math.cos(delta) ** 2,
+                                         abs=1e-10)
+            assert profile(HALF_PI) == pytest.approx(alpha * math.sin(delta), rel=1e-9)
 
     def test_round_sphere_example_value(self):
         _, area = disk_profile(0.1, 0.5, LengthProfile.round_sphere())
@@ -136,31 +138,61 @@ class TestDisk:
         with pytest.raises(ValueError):
             disk_profile(2.0, 0.5, LengthProfile.round_sphere())
 
+    def test_profile_exponent_matches_closed_form(self):
+        # on the round sphere g(t) = log(sin t / sin delta), f = alpha e^(-g)
+        alpha = 0.5
+        for delta in self.TINY_DELTAS:
+            profile, _ = disk_profile(delta, alpha, LengthProfile.round_sphere())
+            for t in (2 * delta, 0.5, 1.0, 1.5):
+                exact = math.log(math.sin(t) / math.sin(delta))
+                assert abs(-math.log(profile(t) / alpha) - exact) <= 1e-12 * exact, (delta, t)
+
+    def test_work_grows_at_most_logarithmically(self):
+        # a deterministic work guard: the integrand calls (one deficit each)
+        # at delta = 1e-9 are a small multiple of those at delta = 0.3
+        sphere = LengthProfile.round_sphere()
+        calls = {}
+        for delta in (0.3, 1e-9):
+            count = [0]
+
+            def deficit(t):
+                count[0] += 1
+                return sphere.deficit(t)
+
+            disk_profile(delta, 0.5, LengthProfile(deficit=deficit, L0=sphere.L0, hi=sphere.hi))
+            calls[delta] = count[0]
+        assert calls[1e-9] <= 3 * calls[0.3], calls
+
 
 class TestExpBound:
     def test_threshold_example_narrow_junction(self):
-        bound = exp_profile_bound(ConeSpace(2, 0.9), 0.001, 0.5)
+        bound = 0.5 - exp_profile_margin(ConeSpace(2, 0.9), 0.001, 0.5)
         assert bound == pytest.approx(0.4999998, abs=1e-7)
         assert bound < 0.5
         assert 0.5 - bound == pytest.approx(1.8e-7, rel=0.05)
 
     def test_threshold_example_wide_junction(self):
-        bound = exp_profile_bound(ConeSpace(2, 0.9), 0.05, 0.5)
+        bound = 0.5 - exp_profile_margin(ConeSpace(2, 0.9), 0.05, 0.5)
         assert bound == pytest.approx(0.50022, abs=1e-5)
         assert bound > 0.5
 
     def test_continuous_in_alpha(self):
         space = ConeSpace(3, 0.8)
         alphas = np.linspace(0.05, 0.95, 200)
-        vals = [exp_profile_bound(space, 0.01, a) for a in alphas]
+        vals = [1.0 / 3.0 - exp_profile_margin(space, 0.01, a) for a in alphas]
         jumps = np.abs(np.diff(vals))
         assert np.max(jumps) < 0.01
 
     def test_margin_agrees_with_bound(self):
+        # against the direct bound ((1 - a^n) sqrt(1 + x) + a^n (1 - sin^p delta)) / n,
+        # x = (lam delta / log a)^2, p = n lam / sqrt(n - 1)
         space = ConeSpace(2, 0.9)
+        p = 2 * 0.9
         for delta, alpha in [(0.001, 0.5), (0.01, 0.3), (0.1, 0.7)]:
+            an, x = alpha**2, (0.9 * delta / math.log(alpha)) ** 2
+            bound = ((1 - an) * math.sqrt(1 + x) + an * (1 - math.sin(delta) ** p)) / 2
             assert exp_profile_margin(space, delta, alpha) == pytest.approx(
-                0.5 - exp_profile_bound(space, delta, alpha), abs=1e-14)
+                0.5 - bound, abs=1e-14)
 
     def test_log_margin_sign_matches(self):
         space = ConeSpace(2, 0.9)
@@ -182,7 +214,7 @@ class TestExpArea:
     def test_numeric_below_bound(self):
         space = ConeSpace(2, 0.9)
         numeric = exp_profile_area(space, 0.001, 0.5)
-        assert numeric <= exp_profile_bound(space, 0.001, 0.5) + 1e-9
+        assert numeric <= 0.5 - exp_profile_margin(space, 0.001, 0.5) + 1e-9
         assert numeric <= 0.4999998 + 1e-9
 
     def test_matches_assembled_profile(self):
@@ -200,6 +232,24 @@ class TestExpArea:
             f = exp_profile(space, delta, 0.5)
             expected = 0.5 * math.exp(-space.lam * _g_to_half_pi(space, delta))
             assert f(HALF_PI) == pytest.approx(expected, rel=1e-9)
+        # interior values on both sides of the cap, against g from delta to
+        # theta summed in 40 digits in tau = log t
+        for n, lam in ((3, 0.9), (6, 0.7)):
+            space = ConeSpace(n, lam)
+            for delta in (1e-2, 1e-9):
+                f = exp_profile(space, delta, 0.5)
+                with mpmath.workdps(40):
+                    def dg_tau(tau):
+                        t = mpmath.exp(tau)
+                        log_sec = -mpmath.log1p(-2 * mpmath.sin(t / 2) ** 2)
+                        return t / mpmath.sqrt(mpmath.expm1((2 * n - 2) * log_sec))
+
+                    g, lo = mpmath.mpf(0), mpmath.log(mpmath.mpf(delta))
+                    for theta in (2 * delta, 0.1, 0.31, 1.5):
+                        hi = mpmath.log(mpmath.mpf(theta))
+                        g, lo = g + mpmath.quad(dg_tau, [lo, hi]), hi
+                        exact = float(0.5 * mpmath.exp(-mpmath.mpf(lam) * g))
+                        assert abs(f(theta) - exact) <= 1e-13 * exact, (n, delta, theta)
 
     def test_log_sec_matches_mpmath(self):
         # -log cos t keeps its digits where 1 - cos t is below 1e-8
@@ -315,7 +365,7 @@ class TestSearch:
         assert res.margin == pytest.approx(
             exp_profile_margin(space, res.delta, res.alpha), rel=1e-12)
         assert res.bound == pytest.approx(
-            exp_profile_bound(space, res.delta, res.alpha), abs=1e-15)
+            1.0 / 3.0 - exp_profile_margin(space, res.delta, res.alpha), abs=1e-15)
         assert res.bound == 1.0 / 3.0 - res.margin
         assert res.log_delta == math.log(0.3) and res.evaluations == 0
         assert res.log_margin_gap == -math.inf

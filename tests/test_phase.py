@@ -185,10 +185,10 @@ class TestScan:
         expected = [decide(ConeSpace(3, lam)) for lam in lams]
         search = phase.search_competitors
 
-        def failing(n, block):
+        def failing(n, block, *disc):
             if bad in block:
                 raise ArithmeticError(f"no search at {bad}")
-            return search(n, block)
+            return search(n, block, *disc)
 
         monkeypatch.setattr(phase, "search_competitors", failing)
         for rec, d in zip(scan([3], lams, measure_time=False), expected):
@@ -205,7 +205,7 @@ class TestScan:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only numeric failures downgrade to Undetermined
-        def broken(n, block):
+        def broken(n, block, *disc):
             raise TypeError("not a numeric failure")
 
         monkeypatch.setattr(phase, "search_competitors", broken)
