@@ -16,14 +16,19 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
 
-from .errors import NumericError
+from .errors import NumericError, QuadratureError
 from .geometry import ConeSpace, threshold_discriminant
-from .profiles import QuadratureConfig, RadialProfile, s_functional
+from .profiles import QuadratureConfig, RadialProfile
+# not called here since flux_consistency integrates the mesh itself; kept as a
+# module attribute for callers that patch through this module
+from .profiles import s_functional  # noqa: F401
 
 HALF_PI = math.pi / 2.0
 
@@ -189,6 +194,7 @@ _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
       (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
       (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 _P_COLUMNS = tuple(zip(*_P))    # per power of x, the weights of the six stages
+_P_MATRIX = np.array(_P)        # stages x powers x, x^2, x^3, x^4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5    # -1 / (order of the error estimate + 1)
 _SQRT2 = 2 ** 0.5
@@ -458,21 +464,29 @@ def _finish(kind, path: _Path, tail: Optional[_Path] = None, theta_exit=None,
                            rejected=rejected, dense=path)
 
 
+def _graph_dense(outcome: ShootingOutcome):
+    """The outcome's continuous extension, if its trajectory reconstructs a graph."""
+    if outcome.kind is OutcomeKind.EXITS_AT_FLOOR:
+        raise ValueError("trajectory reaches the floor: profile has a vertical tangent")
+    if outcome.dense is None:
+        raise ValueError("outcome carries no continuous extension (dense)")
+    return outcome.dense
+
+
 def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     """Profile f(theta) = exp(-lam * integral of cot H) along a trajectory.
 
     Only trajectories that stay off the floor reconstruct a graph; beyond the
     recorded end the profile is continued by its final value (the derivative
     there is O(pad), which is below quadrature tolerance for the uses here).
+    Each f and f' evaluates ``dense`` at one theta, which suits pointwise use
+    and ``s_functional``; ``flux_consistency`` integrates the area on the
+    integrator's own steps instead.
     """
-    if outcome.kind is OutcomeKind.EXITS_AT_FLOOR:
-        raise ValueError("trajectory reaches the floor: profile has a vertical tangent")
-    if outcome.dense is None:
-        raise ValueError("outcome carries no continuous extension (dense)")
+    dense = _graph_dense(outcome)
     lam = space.lam
     t_last = float(outcome.thetas[-1])
     f_last = math.exp(float(outcome.log_fs[-1]))
-    dense = outcome.dense
     t_hi = dense.t_max
     last_theta, last_value = math.nan, None
 
@@ -517,9 +531,6 @@ def _shoot_back(space: ConeSpace, u0: float, cfg: ShootConfig):
         raise NumericError(f"backward shot from u0={u0:g} {where} at theta={path.ts[-1]!r}, "
                            f"H={path.ys[-1]!r}")
     H0 = path.ys[-1]
-    if H0 < cfg.h_switch:
-        raise NumericError(f"H0={H0!r} below h_switch={cfg.h_switch:g}: the area "
-                           f"quadrature misses f's boundary layer at theta = 0")
     path.shift(-path.zs[-1])
     outcome = ShootingOutcome(kind=OutcomeKind.EXTENDS_TO_HALF_PI,
                               thetas=np.array(path.ts[::-1]), Hs=np.array(path.ys[::-1]),
@@ -541,8 +552,8 @@ def find_extending_shots(space: ConeSpace, count: int = 3,
     pairs (H0, outcome), from u0 = theta_pad * 10^-k for k = 0..count-1,
     with f(0) = 1; [] where the exact D >= 0, since the barrier line then
     proves that no graph extends.  Raises ``NumericError`` when a shot
-    stalls or reaches the floor, when the radii disagree on H0, or when H0
-    falls below ``h_switch``, where the area quadrature is not trusted.
+    stalls or reaches the floor (``h_floor``), or when the radii disagree on
+    H0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -557,11 +568,67 @@ def find_extending_shots(space: ConeSpace, count: int = 3,
     return hits
 
 
+# Gauss-Legendre rules of 4 and 5 nodes on [-1, 1] in radicals (Abramowitz &
+# Stegun 25.4.29), mapped to [0, 1] side by side: the area is the 5-node sum,
+# and its gap to the 4-node sum is the error estimate
+_G4 = [(s * math.sqrt(3 / 7 - e * 2 / 7 * math.sqrt(6 / 5)), (18 + e * math.sqrt(30)) / 36)
+       for s in (-1, 1) for e in (-1, 1)]
+_G5 = [(0.0, 128 / 225)] + [
+    (s * math.sqrt(5 - e * 2 * math.sqrt(10 / 7)) / 3, (322 + e * 13 * math.sqrt(70)) / 900)
+    for s in (-1, 1) for e in (-1, 1)]
+_NODES = np.array([x for x, _ in _G4 + _G5]) / 2.0 + 0.5
+_NODE_POWERS = _NODES ** np.arange(1, 5)[:, None]     # x, x^2, x^3, x^4 per node
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:4, 0] = [w / 2.0 for _, w in _G4]
+_WEIGHTS[4:, 1] = [w / 2.0 for _, w in _G5]
+
+
+def _mesh_area(space: ConeSpace, path: _Path, logf_last: float,
+               cfg: QuadratureConfig) -> float:
+    """Normalized area of the profile on the accepted steps of ``path``.
+
+    With f' = -lam f cot H the integrand sqrt(f'^2 + lam^2 f^2) f^(n-1)
+    cos^(n-1)(theta) is lam f^n cos^(n-1)(theta) / sin H.  It is summed over
+    each step's Gauss nodes on the step's continuous extension, all steps at
+    once.  Past t_max, f keeps its last value exp(logf_last), and the
+    integral of cos^(n-1) over [t_max, pi/2] = [0, u] of sin^(n-1) is
+    B(sin^2 u; n/2, 1/2) / 2, an incomplete beta function.  Raises
+    ``QuadratureError`` when the 4- and 5-node sums differ, step by step, by
+    more than the tolerance in total.
+    """
+    m = len(path.stages)
+    stages = np.fromiter(chain.from_iterable(path.stages), float, 16 * m).reshape(m, 16)
+    h = stages[:, 1:2]
+    width = np.diff(path.ts)[:, None]               # h, but for a cut last step
+    powers = (width / h) ** np.arange(1, 5)         # x = (width / h) * node
+    Hs = stages[:, 2:3] + h * ((stages[:, 4::2] @ _P_MATRIX) * powers) @ _NODE_POWERS
+    logfs = stages[:, 3:4] + h * ((stages[:, 5::2] @ _P_MATRIX) * powers) @ _NODE_POWERS
+    thetas = stages[:, 0:1] + width * _NODES
+    n = space.n
+    values = np.exp(n * logfs) * np.cos(thetas) ** (n - 1) / np.sin(Hs)
+    sums = (values @ _WEIGHTS) * np.abs(width)
+    a = n / 2.0
+    tail = (math.exp(n * logf_last) * special.beta(a, 0.5)
+            * special.betainc(a, 0.5, math.sin(HALF_PI - path.t_max) ** 2) / 2.0)
+    area = space.lam * (float(sums[:, 1].sum()) + tail)
+    residual = space.lam * float(np.abs(sums[:, 1] - sums[:, 0]).sum())
+    if residual > max(cfg.abs_tol, cfg.rel_tol * area):
+        raise QuadratureError(f"mesh quadrature residual {residual:.3e} exceeds "
+                              f"tolerance", residual=residual)
+    return area
+
+
 def flux_consistency(space: ConeSpace, H0: float, outcome: ShootingOutcome,
                      quad_cfg: QuadratureConfig = QuadratureConfig()):
-    """Quadrature area of the reconstructed profile vs the closed-form flux."""
-    profile = reconstruct_f(outcome, space)
-    area = s_functional(profile, space, quad_cfg)
+    """(area, flux): the profile's normalized area vs the closed-form flux.
+
+    The area is integrated on the accepted steps of the outcome's own
+    integrator, whose mesh already resolves f, including its boundary layer
+    at theta = 0 when H0 is tiny; ``quad_cfg`` bounds the gap between two
+    Gauss rules on that mesh.  It agrees with ``s_functional`` on
+    ``reconstruct_f``'s profile wherever that quadrature resolves f.
+    """
+    area = _mesh_area(space, _graph_dense(outcome), float(outcome.log_fs[-1]), quad_cfg)
     flux = boundary_flux(initial_slope(H0, space), space)
     return area, flux
 

@@ -7,7 +7,7 @@ import pytest
 from conelab import phase
 from conelab.cli import main
 from conelab.geometry import ConeSpace
-from conelab.shooting import shoot
+from conelab.shooting import flux_consistency, shoot
 
 
 def test_scan_prints_threshold(capsys):
@@ -44,6 +44,17 @@ def test_shoot_reports_outcome(capsys, tmp_path):
     outcome = shoot(ConeSpace(3, 0.95), 0.5)
     assert (f"steps: {outcome.steps} accepted, {outcome.rejected} rejected"
             in out)
+
+
+def test_shoot_reports_area_and_flux(capsys):
+    H0 = 0.0002913244446230061
+    main(["shoot", "--n", "3", "--lam", "0.9", "--h0", repr(H0)])
+    out = capsys.readouterr().out
+    assert "ExtendsToHalfPi" in out
+    space = ConeSpace(3, 0.9)
+    area, flux = flux_consistency(space, H0, shoot(space, H0))
+    assert f"normalized area (quadrature): {area:.12g}\n" in out
+    assert f"boundary flux (closed form):  {flux:.12g}\n" in out
 
 
 def test_competitor_direct_evaluation(capsys):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conelab import shooting
-from conelab.errors import NumericError
+from conelab.errors import NumericError, QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.phase import decide, threshold
-from conelab.profiles import s_functional
+from conelab.profiles import QuadratureConfig, s_functional
 from conelab.shooting import (OutcomeKind, ShootConfig, ShootingOutcome,
                               barrier_certificate, barrier_margins, barrier_roots,
                               barrier_slope, boundary_flux,
@@ -413,8 +413,8 @@ class TestBackwardShots:
     @pytest.mark.parametrize("n, lam", [(2, 0.995), (2, 0.999), (3, 0.93), (3, 0.942),
                                         (4, 0.85), (4, 0.86), (10, 0.59)])
     def test_near_threshold_raises_or_passes_flux(self, n, lam):
-        # H0 collapses toward 0 near lambda*, where f has a boundary layer
-        # that the area quadrature does not resolve: no wrong area may come out
+        # H0 collapses toward 0 near lambda*, where f has a boundary layer at
+        # theta = 0: either a NumericError or hits whose area matches the flux
         space = ConeSpace(n, lam)
         try:
             hits = find_extending_shots(space)
@@ -425,10 +425,23 @@ class TestBackwardShots:
             area, flux = flux_consistency(space, H0, out)
             assert abs(area - flux) <= 1e-6 * flux
 
-    def test_low_h0_guard(self):
-        # H0 ~ 2.6e-8 at (2, 0.995): below h_switch, so no hit is returned
-        with pytest.raises(NumericError, match="h_switch"):
-            find_extending_shots(ConeSpace(2, 0.995))
+    @pytest.mark.parametrize("n, lam", [(2, 0.995), (3, 0.93), (4, 0.85), (10, 0.59)])
+    def test_hits_near_threshold(self, n, lam):
+        # H0 between 2.6e-8 and 4.5e-7: f has a boundary layer at theta = 0,
+        # which the integrator's mesh resolves
+        space = ConeSpace(n, lam)
+        hits = find_extending_shots(space)
+        assert len(hits) == 3
+        for H0, out in hits:
+            assert H0 < 1e-6
+            area, flux = flux_consistency(space, H0, out)
+            assert abs(area - flux) <= 1e-6 * flux
+            assert abs(flux - math.cos(H0) / n) <= 1e-12
+
+    @pytest.mark.parametrize("n, lam", [(2, 0.999), (3, 0.942)])
+    def test_floor_near_threshold_raises(self, n, lam):
+        with pytest.raises(NumericError, match="reached the floor"):
+            find_extending_shots(ConeSpace(n, lam))
 
     def test_never_shoots_forward(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -493,31 +506,61 @@ class TestFluxConsistency:
         assert area == pytest.approx(flux, rel=1e-6)
         assert flux < 1.0 / 3.0
 
-    def test_one_dense_evaluation_per_integrand_node(self, monkeypatch):
-        # f and f' at one theta share one evaluation of the continuous extension
+    def test_no_pointwise_evaluation(self, monkeypatch):
+        # the area comes from the stored steps in one array pass: no dense(theta)
+        # call and no scalar quadrature
         space = ConeSpace(4, 0.8)
         H0, out = find_extending_shots(space, count=1)[0]
-        area, _ = flux_consistency(space, H0, out)
-        calls = {"dense": 0, "integrand": 0}
+        area, flux = flux_consistency(space, H0, out)
 
-        class Counted:
-            t_max = out.dense.t_max
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointwise evaluation")
 
-            def __call__(self, theta):
-                calls["dense"] += 1
-                return out.dense(theta)
+        monkeypatch.setattr(shooting._Path, "__call__", refuse)
+        monkeypatch.setattr(shooting, "s_functional", refuse)
+        monkeypatch.setattr(shooting, "reconstruct_f", refuse)
+        assert flux_consistency(space, H0, out) == (area, flux)
 
-        def counted_s_functional(profile, space, cfg):
-            def f_eval(theta):
-                calls["integrand"] += 1   # the integrand evaluates f once per node
-                return profile.eval(theta)
-            return s_functional(dataclasses.replace(profile, eval=f_eval), space, cfg)
+    @pytest.mark.parametrize("n, lam", [(2, 0.75), (3, 0.55), (3, 0.9), (4, 0.8),
+                                        (10, 0.55)])
+    def test_mesh_area_matches_s_functional(self, n, lam):
+        space = ConeSpace(n, lam)
+        for H0, out in find_extending_shots(space):
+            area, _ = flux_consistency(space, H0, out)
+            assert area == pytest.approx(s_functional(reconstruct_f(out, space), space),
+                                         rel=1e-9)
 
-        monkeypatch.setattr(shooting, "s_functional", counted_s_functional)
-        counted_area, _ = flux_consistency(space, H0, dataclasses.replace(out, dense=Counted()))
-        assert calls["integrand"] > 0
-        assert calls["dense"] <= calls["integrand"]
-        assert counted_area == area
+    @pytest.mark.parametrize("n, lam, H0, kind", [
+        (3, 0.9, 0.0002913244446230061, OutcomeKind.EXTENDS_TO_HALF_PI),
+        # cut at the ceiling: a partial last step, and f constant for ~1.2 rad
+        (3, 0.95, 0.5, OutcomeKind.EXITS_AT_CEILING),
+        (10, 0.7, 0.2, OutcomeKind.EXITS_AT_CEILING)])
+    def test_forward_shot_matches_s_functional(self, n, lam, H0, kind):
+        space = ConeSpace(n, lam)
+        out = shoot(space, H0)
+        assert out.kind is kind
+        area, flux = flux_consistency(space, H0, out)
+        assert area == pytest.approx(s_functional(reconstruct_f(out, space), space),
+                                     rel=1e-9)
+        if kind is OutcomeKind.EXTENDS_TO_HALF_PI:
+            assert area == pytest.approx(flux, rel=1e-6)
+
+    def test_residual_above_tolerance_raises(self):
+        space = ConeSpace(3, 0.9)
+        H0, out = find_extending_shots(space, count=1)[0]
+        with pytest.raises(QuadratureError) as info:
+            flux_consistency(space, H0, out, QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
+        assert 0.0 < info.value.residual < 1e-10
+
+    def test_non_graph_outcomes_rejected(self):
+        space = ConeSpace(2, 0.5)
+        floor = shoot(space, 0.01)
+        assert floor.kind is OutcomeKind.EXITS_AT_FLOOR
+        with pytest.raises(ValueError, match="floor"):
+            flux_consistency(space, 0.01, floor)
+        _, out = find_extending_shots(ConeSpace(3, 0.9), count=1)[0]
+        with pytest.raises(ValueError, match="dense"):
+            flux_consistency(ConeSpace(3, 0.9), 0.1, dataclasses.replace(out, dense=None))
 
     def test_initial_slope(self):
         space = ConeSpace(3, 0.9)
