@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import NumericError
+from .errors import NumericError, checked_quad
 from .geometry import ConeSpace, threshold_discriminant
 from .profiles import LengthProfile, QuadratureConfig, RadialProfile
 
@@ -167,8 +167,8 @@ def _log_quad(fn, lo: float, hi: float, tol: float, lead: float = 0.0) -> float:
     """
     lo_tau, hi_tau = math.log(lo), math.log(hi)
     rem_lo = max(lo_tau, -40.0) if lead else lo_tau
-    rem, _ = integrate.quad(lambda tau: math.exp(tau) * fn(math.exp(tau)) - lead,
-                            rem_lo, hi_tau, epsabs=tol, epsrel=tol, limit=200)
+    rem = checked_quad(lambda tau: math.exp(tau) * fn(math.exp(tau)) - lead,
+                       rem_lo, hi_tau, tol, tol)
     return (hi_tau - lo_tau) * lead + rem
 
 
@@ -308,9 +308,7 @@ _LOG_DELTA_CAP = math.log(_DELTA_CAP)
 @functools.cache
 def _g_cap_to_half_pi(n: int, tol: float) -> float:
     """Integral of _g_integrand from _DELTA_CAP to pi/2: a constant of (n, tol)."""
-    val, _ = integrate.quad(_g_integrand, _DELTA_CAP, HALF_PI, args=(n,), epsabs=tol,
-                            epsrel=tol, limit=200)
-    return val
+    return checked_quad(_g_integrand, _DELTA_CAP, HALF_PI, tol, tol, args=(n,))
 
 
 def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
@@ -327,9 +325,7 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
         # integrand is exactly cot(t)
         return -math.log(math.sin(delta))
     if delta > _DELTA_CAP:
-        val, _ = integrate.quad(_g_integrand, delta, HALF_PI, args=(n,), epsabs=tol,
-                                epsrel=tol, limit=200)
-        return val
+        return checked_quad(_g_integrand, delta, HALF_PI, tol, tol, args=(n,))
     # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero: the lead 1/sqrt(n-1) of t g'(t)
     return (_log_quad(lambda t: _g_integrand(t, n), delta, _DELTA_CAP, tol,
                       lead=1.0 / math.sqrt(n - 1.0))
@@ -378,12 +374,7 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
     def head(u):
         return alpha ** (n * u) * math.cos(delta * u) ** (n - 1)
 
-    head_val, head_err = integrate.quad(head, 0.0, 1.0,
-                                        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                                        limit=200)
-    if head_err > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(head_val)):
-        raise NumericError("head quadrature did not converge", residual=head_err)
-
+    head_val = checked_quad(head, 0.0, 1.0, cfg.abs_tol, cfg.rel_tol)
     g_end = _g_to_half_pi(space, delta, tol=min(cfg.abs_tol, 1e-12))
     exponent = -n * lam * g_end
     f_end_n = comp.alpha**n * (math.exp(exponent) if exponent > -700.0 else 0.0)

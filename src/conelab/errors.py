@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one checked quadrature."""
+
+from scipy import integrate
 
 
 class NumericError(RuntimeError):
@@ -14,3 +16,15 @@ class NumericError(RuntimeError):
 
 class QuadratureError(NumericError):
     """Adaptive quadrature did not reach the requested tolerance."""
+
+
+def checked_quad(fn, lo, hi, abs_tol, rel_tol, points=None, args=()) -> float:
+    """scipy's quad of fn over [lo, hi]: the package's one quadrature call.
+
+    Raises ``QuadratureError`` if its error exceeds 100 max(abs_tol, rel_tol |value|).
+    """
+    val, err = integrate.quad(fn, lo, hi, args=args, points=points, epsabs=abs_tol,
+                              epsrel=rel_tol, limit=240)
+    if err > 100.0 * max(abs_tol, rel_tol * abs(val)):
+        raise QuadratureError(f"quadrature residual {err:.3e} exceeds tolerance", residual=err)
+    return val

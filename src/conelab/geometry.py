@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
-from .errors import QuadratureError
+from .errors import checked_quad
 
 TANGENTIAL = "tangential"
 RADIAL = "radial"
@@ -186,11 +186,7 @@ class RevolutionSurface:
             return 0.0
         zc = self._z_cut(r)
         integrand = lambda z: 2.0 * math.pi * self.rho(z) * math.hypot(1.0, self.drho(z))
-        val, err = integrate.quad(integrand, -zc, zc, epsabs=self.tol, epsrel=self.tol,
-                                  limit=200)
-        if err > 100.0 * max(self.tol, self.tol * abs(val)):
-            raise QuadratureError("ball-intersection area did not converge", residual=err)
-        return val
+        return checked_quad(integrand, -zc, zc, self.tol, self.tol)
 
     def density_ratio(self, r: float) -> float:
         return self.area_in_ball(r) / r**self.dim

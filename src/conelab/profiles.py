@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .errors import QuadratureError
+from .errors import checked_quad
 from .geometry import ConeSpace
 
 _CONTINUITY_TOL = 1e-12
@@ -25,15 +24,14 @@ _CONTINUITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances: ``checked_quad`` raises past 100 times them, the flux mesh area past them."""
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 60
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -145,13 +143,7 @@ class LengthProfile:
 
 def _adaptive_quad(fn, lo, hi, cfg: QuadratureConfig, points=()):
     pts = [p for p in points if lo < p < hi] or None
-    val, err = integrate.quad(fn, lo, hi, points=pts,
-                              epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                              limit=max(4 * cfg.max_depth, 50))
-    if err > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(val)):
-        raise QuadratureError(
-            f"quadrature residual {err:.3e} exceeds tolerance", residual=err)
-    return val
+    return checked_quad(fn, lo, hi, cfg.abs_tol, cfg.rel_tol, points=pts)
 
 
 def graph_area(f: RadialProfile, L: LengthProfile,

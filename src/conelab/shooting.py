@@ -193,8 +193,8 @@ _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
        701980252875 / 199316789632),
       (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
       (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
-_P_COLUMNS = tuple(zip(*_P))    # per power of x, the weights of the six stages
 _P_MATRIX = np.array(_P)        # stages x powers x, x^2, x^3, x^4
+_POWERS = np.arange(1, 5)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5    # -1 / (order of the error estimate + 1)
 _SQRT2 = 2 ** 0.5
@@ -202,20 +202,31 @@ _EVENT_TOL = 4 * sys.float_info.epsilon
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 
 
+def _extension(stages: np.ndarray, scale, nodes, dz: float = 0.0):
+    """(y, z + dz) on each step's 4th-order continuous extension: steps x nodes arrays.
+
+    A step is a row of ``_Path.stages``, evaluated at x = (t - t0) / h = scale * node.
+    """
+    h, powers, node_powers = stages[:, 1:2], scale ** _POWERS, nodes ** _POWERS[:, None]
+    return (stages[:, 2:3] + h * ((stages[:, 4::2] @ _P_MATRIX) * powers) @ node_powers,
+            stages[:, 3:4] + dz + h * ((stages[:, 5::2] @ _P_MATRIX) * powers) @ node_powers)
+
+
 class _Path:
     """Accepted steps of one ``_dopri`` run for a state (y, z) over t.
 
     ``ts``, ``ys`` and ``zs`` hold the nodes; ``stages`` holds, per step, what
-    the 4th-order continuous extension needs.  Called at t it returns (y, z)
-    from the step covering t (the one nearer the start at a node), whichever
-    way t runs.
+    the 4th-order continuous extension needs.  The path's z is the stored z
+    plus the offset ``dz`` (a backward shot's log f, set so that f(0) = 1).
+    Called at t it returns (y, z + dz) from the step covering t (the one
+    nearer the start at a node), whichever way t runs.
     """
 
-    __slots__ = ("ts", "ys", "zs", "stages", "coefs", "steps", "rejected", "failed")
+    __slots__ = ("ts", "ys", "zs", "stages", "dz", "steps", "rejected", "failed")
 
     def __init__(self, t: float, y: float, z: float):
         self.ts, self.ys, self.zs = [t], [y], [z]
-        self.stages, self.coefs = [], []
+        self.stages, self.dz = [], 0.0
         self.steps = self.rejected = 0
         self.failed = False
 
@@ -228,19 +239,12 @@ class _Path:
             i = bisect_left(self.ts, t) - 1
         else:
             i = bisect_left(self.ts, -t, key=operator.neg) - 1
-        return self._at(min(max(i, 0), len(self.stages) - 1), t)
+        return self._at(min(max(i, 0), len(self.stages) - 1), t, self.dz)
 
-    def _at(self, i: int, t: float):
-        coefs = self.coefs[i]
-        if coefs is None:
-            coefs = self.coefs[i] = _extension(*self.stages[i])
-        t0, h, y0, z0, qy1, qy2, qy3, qy4, qz1, qz2, qz3, qz4 = coefs
-        x = (t - t0) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (y0 + h * (qy1 * x + qy2 * x2 + qy3 * x3 + qy4 * x4),
-                z0 + h * (qz1 * x + qz2 * x2 + qz3 * x3 + qz4 * x4))
+    def _at(self, i: int, t: float, dz: float = 0.0):
+        stage = self.stages[i]
+        y, z = _extension(np.array([stage]), (t - stage[0]) / stage[1], 1.0, dz)
+        return float(y[0, 0]), float(z[0, 0])
 
     def crossing(self, level: float) -> float:
         """Where the last step's interpolant of y meets ``level``."""
@@ -248,26 +252,10 @@ class _Path:
         return brentq(lambda t: self._at(i, t)[0] - level, self.ts[-2], self.ts[-1],
                       xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
-    def shift(self, dz: float) -> None:
-        """Add dz to z along the whole path, nodes and extension alike."""
-        self.zs = [z + dz for z in self.zs]
-        self.stages = [(t, h, y, z + dz, *k) for t, h, y, z, *k in self.stages]
-        self.coefs = [None] * len(self.stages)
-
     def cut(self, t: float) -> None:
         """End the path at t inside its last step."""
         self.ys[-1], self.zs[-1] = self._at(len(self.stages) - 1, t)
         self.ts[-1] = t
-
-
-def _extension(t0, h, y0, z0, k1y, k1z, k3y, k3z, k4y, k4z, k5y, k5z, k6y, k6z,
-               k7y, k7z):
-    """One step's continuous-extension coefficients from its stored stages."""
-    return (t0, h, y0, z0,
-            *[k1y * p1 + k3y * p3 + k4y * p4 + k5y * p5 + k6y * p6 + k7y * p7
-              for p1, p3, p4, p5, p6, p7 in _P_COLUMNS],
-            *[k1z * p1 + k3z * p3 + k4z * p4 + k5z * p5 + k6z * p6 + k7z * p7
-              for p1, p3, p4, p5, p6, p7 in _P_COLUMNS])
 
 
 def _initial_step(fun, t, y, z, fy, fz, t_bound, direction, rtol, atol):
@@ -301,7 +289,7 @@ def _dopri(fun, t: float, y: float, z: float, t_bound: float, rtol: float,
     ``watch(path)``, called after every accepted step, returns True.
     """
     path = _Path(t, y, z)
-    ts, ys, zs, stages, coefs = path.ts, path.ys, path.zs, path.stages, path.coefs
+    ts, ys, zs, stages = path.ts, path.ys, path.zs, path.stages
     direction = 1.0 if t_bound > t else -1.0
     toward = direction * math.inf
     fy, fz = fun(t, y, z)
@@ -352,7 +340,6 @@ def _dopri(fun, t: float, y: float, z: float, t_bound: float, rtol: float,
             path.rejected += 1
         stages.append((t, h, y, z, fy, fz, k3y, k3z, k4y, k4z, k5y, k5z,
                        k6y, k6z, k7y, k7z))
-        coefs.append(None)
         ts.append(t_new)
         ys.append(y_new)
         zs.append(z_new)
@@ -479,8 +466,8 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     Only trajectories that stay off the floor reconstruct a graph; beyond the
     recorded end the profile is continued by its final value (the derivative
     there is O(pad), which is below quadrature tolerance for the uses here).
-    Each f and f' evaluates ``dense`` at one theta, which suits pointwise use
-    and ``s_functional``; ``flux_consistency`` integrates the area on the
+    Each f and f' evaluates ``dense`` at one theta, for pointwise use and
+    for checking ``flux_consistency``, which integrates the area on the
     integrator's own steps instead.
     """
     dense = _graph_dense(outcome)
@@ -488,25 +475,16 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     t_last = float(outcome.thetas[-1])
     f_last = math.exp(float(outcome.log_fs[-1]))
     t_hi = dense.t_max
-    last_theta, last_value = math.nan, None
-
-    def at(theta):
-        # dense(theta), kept for the next call: the area integrand asks for
-        # f and f' at the same theta
-        nonlocal last_theta, last_value
-        if theta != last_theta:
-            last_theta, last_value = theta, dense(theta)
-        return last_value
 
     def f_eval(theta):
         if theta >= t_hi:
             return f_last
-        return math.exp(float(at(theta)[1]))
+        return math.exp(float(dense(theta)[1]))
 
     def f_deriv(theta):
         if theta >= t_hi:
             return 0.0
-        H, logf = at(theta)
+        H, logf = dense(theta)
         return -lam * math.exp(float(logf)) / math.tan(float(H))
 
     return RadialProfile(lo=0.0, hi=HALF_PI, eval=f_eval, deriv=f_deriv,
@@ -531,11 +509,12 @@ def _shoot_back(space: ConeSpace, u0: float, cfg: ShootConfig):
         raise NumericError(f"backward shot from u0={u0:g} {where} at theta={path.ts[-1]!r}, "
                            f"H={path.ys[-1]!r}")
     H0 = path.ys[-1]
-    path.shift(-path.zs[-1])
+    path.dz = -path.zs[-1]
+    log_fs = np.array(path.zs[::-1]) + path.dz
     outcome = ShootingOutcome(kind=OutcomeKind.EXTENDS_TO_HALF_PI,
                               thetas=np.array(path.ts[::-1]), Hs=np.array(path.ys[::-1]),
-                              log_fs=np.array(path.zs[::-1]), theta_exit=theta_top,
-                              f_end=math.exp(path.zs[0]), steps=path.steps,
+                              log_fs=log_fs, theta_exit=theta_top,
+                              f_end=math.exp(log_fs[-1]), steps=path.steps,
                               rejected=path.rejected, dense=path)
     return H0, outcome
 
@@ -577,7 +556,6 @@ _G5 = [(0.0, 128 / 225)] + [
     (s * math.sqrt(5 - e * 2 * math.sqrt(10 / 7)) / 3, (322 + e * 13 * math.sqrt(70)) / 900)
     for s in (-1, 1) for e in (-1, 1)]
 _NODES = np.array([x for x, _ in _G4 + _G5]) / 2.0 + 0.5
-_NODE_POWERS = _NODES ** np.arange(1, 5)[:, None]     # x, x^2, x^3, x^4 per node
 _WEIGHTS = np.zeros((_NODES.size, 2))
 _WEIGHTS[:4, 0] = [w / 2.0 for _, w in _G4]
 _WEIGHTS[4:, 1] = [w / 2.0 for _, w in _G5]
@@ -598,11 +576,8 @@ def _mesh_area(space: ConeSpace, path: _Path, logf_last: float,
     """
     m = len(path.stages)
     stages = np.fromiter(chain.from_iterable(path.stages), float, 16 * m).reshape(m, 16)
-    h = stages[:, 1:2]
     width = np.diff(path.ts)[:, None]               # h, but for a cut last step
-    powers = (width / h) ** np.arange(1, 5)         # x = (width / h) * node
-    Hs = stages[:, 2:3] + h * ((stages[:, 4::2] @ _P_MATRIX) * powers) @ _NODE_POWERS
-    logfs = stages[:, 3:4] + h * ((stages[:, 5::2] @ _P_MATRIX) * powers) @ _NODE_POWERS
+    Hs, logfs = _extension(stages, width / stages[:, 1:2], _NODES, path.dz)
     thetas = stages[:, 0:1] + width * _NODES
     n = space.n
     values = np.exp(n * logfs) * np.cos(thetas) ** (n - 1) / np.sin(Hs)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
 from conelab import competitors
 from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_to_half_pi,
@@ -14,6 +16,7 @@ from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_t
                                  competitor_search, disk_profile, exp_profile,
                                  exp_profile_area, exp_profile_log_margin, exp_profile_margin,
                                  search_competitors, solve_catenoid)
+from conelab.errors import QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.profiles import LengthProfile, graph_area, s_functional
 
@@ -99,6 +102,13 @@ class TestDisk:
             assert area == pytest.approx(0.5 * L0 * alpha**2 * math.cos(delta) ** 2,
                                          abs=1e-10)
             assert profile(HALF_PI) == pytest.approx(alpha * math.sin(delta), rel=1e-9)
+
+    @pytest.mark.parametrize("delta, alpha, area", [
+        (1e-4, 0.9, 2.5446900239608325), (0.01, 0.5, 0.7853196261990675),
+        (0.1, 0.3, 0.27992531765541273), (0.3, 0.7, 1.4049429347433329)])
+    def test_pinned_bench_disks(self, delta, alpha, area):
+        _, got = disk_profile(delta, alpha, LengthProfile.round_sphere())
+        assert got == pytest.approx(area, rel=1e-15, abs=0.0)
 
     def test_round_sphere_example_value(self):
         _, area = disk_profile(0.1, 0.5, LengthProfile.round_sphere())
@@ -211,6 +221,28 @@ class TestExpBound:
 
 
 class TestExpArea:
+    @pytest.mark.parametrize("n, lam, delta, alpha, area", [
+        # two search witnesses, then a junction above the 0.3 cap
+        (3, 0.9, 3.9716936773381337e-13, 0.6000000000000001, 0.33333333333333337),
+        (6, 0.7, 8.546258253295139e-15, 0.8, 0.16666666666666666),
+        (3, 0.9, 0.5, 0.6, 0.37747012452215056)])
+    def test_pinned_areas(self, n, lam, delta, alpha, area):
+        space = ConeSpace(n, lam)
+        if delta < _DELTA_CAP:
+            res = competitor_search(space)
+            assert (res.delta, res.alpha) == (delta, alpha)
+        got = exp_profile_area(space, delta, alpha)
+        assert got == pytest.approx(area, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.5])
+    def test_unconverged_tail_raises(self, delta):
+        # below and above the 0.3 cap: scipy's error estimate is checked even
+        # where its warning is silenced, as it is outside the test suite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            with pytest.raises(QuadratureError):
+                _g_to_half_pi(ConeSpace(3, 0.9), delta, tol=1e-30)
+
     def test_numeric_below_bound(self):
         space = ConeSpace(2, 0.9)
         numeric = exp_profile_area(space, 0.001, 0.5)

@@ -93,6 +93,10 @@ class TestDensityRatio:
         assert density_ratio(plane, 1.0) == pytest.approx(unit_ball_volume(2))
         assert density_ratio(plane, 7.3) == pytest.approx(unit_ball_volume(2))
 
+    def test_pinned_catenoid(self):
+        got = density_ratio(RevolutionSurface.catenoid(), 5.0)
+        assert got == pytest.approx(5.505925298664176, rel=1e-15, abs=0.0)
+
     def test_equator_cone_scale_invariant(self):
         cone = equator_cone(ConeSpace(3, 0.9))
         vals = [density_ratio(cone, r) for r in (0.1, 1.0, 2.0, 10.0)]

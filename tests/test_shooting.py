@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -340,6 +341,36 @@ def test_dense_output_reproduces_nodes():
             assert abs(dH - H) <= 1e-12 and abs(dlogf - logf) <= 1e-12
 
 
+def _scalar_extension(stage, dz, t):
+    """Reference: one step's continuous extension in plain floats, term by term."""
+    t0, h, y0, z0, *ks = stage
+    x = (t - t0) / h
+    ys, zs = ks[0::2], ks[1::2]
+    out = []
+    for base, k in ((y0, ys), (z0 + dz, zs)):
+        terms = [h * sum(kj * row[p] for kj, row in zip(k, shooting._P)) * x ** (p + 1)
+                 for p in range(4)]
+        out.append((base + sum(terms), abs(base) + sum(abs(v) for v in terms)))
+    return out
+
+
+def test_dense_matches_scalar_reference():
+    # the numpy kernel against the formula it vectorizes, at interior points of
+    # every step of a forward and a backward path (which carries a log-f
+    # offset); a few ulps of the summed magnitudes cover any summation order
+    _, back = find_extending_shots(ConeSpace(4, 0.8), count=1)[0]
+    forward = shoot(ConeSpace(3, 0.9), 0.0002913244446230061)
+    for path in (back.dense, forward.dense):
+        assert path.stages
+        for i, stage in enumerate(path.stages):
+            t0, h = stage[0], stage[1]
+            for frac in (0.17, 0.5, 0.83):
+                t = t0 + frac * h
+                got = path(t)
+                for value, (ref, size) in zip(got, _scalar_extension(stage, path.dz, t)):
+                    assert abs(value - ref) <= 8 * sys.float_info.epsilon * size
+
+
 def test_work_counters():
     ceiling = shoot(ConeSpace(3, 0.95), 0.5)
     assert ceiling.steps == len(ceiling.thetas) - 1 > 0
@@ -544,6 +575,31 @@ class TestFluxConsistency:
                                      rel=1e-9)
         if kind is OutcomeKind.EXTENDS_TO_HALF_PI:
             assert area == pytest.approx(flux, rel=1e-6)
+
+    # pinned outputs: a rewrite of the continuous extension or of the mesh
+    # quadrature must leave these areas where they are
+    @pytest.mark.parametrize("n, lam, areas", [
+        (2, 0.75, (0.4907473371635769, 0.4907473371639759, 0.49074733716288077)),
+        (4, 0.8, (0.24999941311497437, 0.24999941311954843, 0.2499994131032613)),
+        (10, 0.59, (0.10000000044342351, 0.10000000045038289, 0.10000000045006942))])
+    def test_pinned_backward_areas(self, n, lam, areas):
+        space = ConeSpace(n, lam)
+        got = [flux_consistency(space, H0, out)[0] for H0, out in find_extending_shots(space)]
+        assert got == pytest.approx(areas, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n, lam, H0, kind, theta_exit, f_end, steps, rejected, area", [
+        (3, 0.9, 0.0002913244446230061, OutcomeKind.EXTENDS_TO_HALF_PI,
+         1.5707953267948966, 0.006710208552786234, 297, 36, 0.3333333191219274),
+        (3, 0.95, 0.5, OutcomeKind.EXITS_AT_CEILING,
+         0.39918530351685416, None, 30, 0, 0.46956735914605985)])
+    def test_pinned_forward_outcomes(self, n, lam, H0, kind, theta_exit, f_end, steps,
+                                     rejected, area):
+        space = ConeSpace(n, lam)
+        out = shoot(space, H0)
+        assert (out.kind, out.steps, out.rejected) == (kind, steps, rejected)
+        assert out.theta_exit == pytest.approx(theta_exit, rel=1e-15, abs=0.0)
+        assert out.f_end == (None if f_end is None else pytest.approx(f_end, rel=1e-15, abs=0.0))
+        assert flux_consistency(space, H0, out)[0] == pytest.approx(area, rel=1e-15, abs=0.0)
 
     def test_residual_above_tolerance_raises(self):
         space = ConeSpace(3, 0.9)
