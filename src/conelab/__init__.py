@@ -13,8 +13,7 @@ from types import ModuleType as _ModuleType
 from .competitors import (CatenoidParams, ExpCompetitor, SearchResult,
                           catenoid_area_closed_form, catenoid_profile,
                           competitor_search, disk_profile, exp_profile,
-                          exp_profile_area, exp_profile_log_margin,
-                          exp_profile_margin, solve_catenoid)
+                          exp_profile_area, exp_profile_margin, solve_catenoid)
 from .errors import NumericError, QuadratureError
 from .geometry import (ConeSpace, CrossSectionCurvature, ExactCone,
                        RevolutionSurface, cone_ricci, cone_sectional,
@@ -25,10 +24,9 @@ from .profiles import (LengthProfile, QuadratureConfig, RadialProfile,
 from .phase import (Certificate, Decision, ScanRecord, Verdict, decide,
                     emit, empirical_threshold, parse_csv, scan, threshold)
 from .shooting import (BarrierCertificate, OutcomeKind, ShootConfig,
-                       ShootingOutcome, barrier_certificate, barrier_roots,
-                       barrier_slope, boundary_flux, find_extending_shots,
-                       flux_consistency, h_rhs, initial_slope, reconstruct_f,
-                       shoot)
+                       ShootingOutcome, barrier_certificate, barrier_slope,
+                       boundary_flux, find_extending_shots, flux_consistency,
+                       h_rhs, initial_slope, reconstruct_f, shoot)
 from .stability import (InstabilityCertificate, TestFunctionEta,
                         critical_log_ratio, instability_certificate,
                         scale_second_fundamental, stability_gap)

@@ -18,8 +18,7 @@ import sys
 import numpy as np
 
 from . import geometry, phase, shooting, stability
-from .competitors import (competitor_search, exp_profile_area,
-                          exp_profile_margin)
+from .competitors import _margin_and_log_gap, competitor_search, exp_profile_area
 from .geometry import ConeSpace
 
 
@@ -139,22 +138,21 @@ def _cmd_shoot(args) -> int:
 def _cmd_competitor(args) -> int:
     space = ConeSpace(n=args.n, lam=args.lam)
     if args.delta is not None and args.alpha is not None:
-        bound = 1.0 / space.n - exp_profile_margin(space, args.delta, args.alpha)
+        # exp_profile_area first: it rejects a junction outside (0, pi/2) x (0, 1)
         numeric = exp_profile_area(space, args.delta, args.alpha)
-        report = {"n": space.n, "lambda": space.lam, "delta": args.delta,
-                  "alpha": args.alpha, "bound": bound, "numeric": numeric,
-                  "margin": 1.0 / space.n - bound,
-                  "verdict": "NotMinimizing" if bound < 1.0 / space.n else "Inconclusive"}
+        delta, alpha, log_delta = args.delta, args.alpha, math.log(args.delta)
+        margin, log_gap = (float(v[0]) for v in _margin_and_log_gap(
+            space.n, np.array([space.lam]), math.log(alpha), log_delta, delta))
     else:
         res = competitor_search(space)
+        delta, alpha, log_delta = res.delta, res.alpha, res.log_delta
+        margin, log_gap = res.margin, res.log_margin_gap
         # log_delta and log_margin_gap still check a witness whose delta is 0.0
-        report = {"n": space.n, "lambda": space.lam, "delta": res.delta,
-                  "log_delta": res.log_delta, "alpha": res.alpha, "bound": res.bound,
-                  "numeric": None, "margin": res.margin,
-                  "log_margin_gap": res.log_margin_gap,
-                  "verdict": "NotMinimizing" if res.found else "Inconclusive"}
-        if res.found and res.delta > 0.0:
-            report["numeric"] = exp_profile_area(space, res.delta, res.alpha)
+        numeric = exp_profile_area(space, delta, alpha) if res.found and delta > 0.0 else None
+    report = {"n": space.n, "lambda": space.lam, "delta": delta, "log_delta": log_delta,
+              "alpha": alpha, "bound": 1.0 / space.n - margin, "numeric": numeric,
+              "margin": margin, "log_margin_gap": log_gap,
+              "verdict": "NotMinimizing" if log_gap > 0.0 else "Inconclusive"}
     for key, value in report.items():
         print(f"{key}: {value}")
     if args.output:

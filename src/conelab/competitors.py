@@ -225,63 +225,64 @@ class ExpCompetitor:
         return -math.log(self.alpha) / self.delta
 
 
-def _decay_power_minus_2(n: int, lams: np.ndarray, disc=None) -> np.ndarray:
-    """p - 2 = D / (sqrt(n-1) (n lam + 2 sqrt(n-1))) per lambda; D = disc, if known."""
+def _margin_and_log_gap(n: int, lams: np.ndarray, log_alpha, log_delta, delta, p_minus_2=None):
+    """(margin, log gap) of the competitor with junction (delta, alpha) at each lambda.
+
+    The competitor is e^(-mu theta) on [0, delta], mu = -log(alpha)/delta,
+    glued to alpha e^(-lam g(theta)) on [delta, pi/2], g(delta) = 0 and
+    g'(t) = 1/sqrt(sec^(2n-2) t - 1).  Its normalized area is at most
+    1/n - margin, where, with p = n lam/sqrt(n-1) and x = (lam delta/log alpha)^2,
+
+        margin * n = alpha^n sin^p(delta) - (1 - alpha^n)(sqrt(1+x) - 1).
+
+    The head is at most (1 - alpha^n) sqrt(1+x)/n: its integrand is
+    sqrt(mu^2 + lam^2) e^(-n mu theta) cos^(n-1) theta and cos <= 1.  The
+    tail telescopes to (alpha^n - f_end^n)/n, f_end = alpha e^(-lam g(pi/2)),
+    and f_end^n >= alpha^n sin^p(delta): g' <= cot t/sqrt(n-1), since
+    sec^(2n-2) t - 1 = (1+s)^(n-1) - 1 >= (n-1)s with s = tan^2 t (Bernoulli),
+    so g(pi/2) <= -log sin(delta)/sqrt(n-1), with equality at n = 2.
+
+    The margin is formed without cancellation, 1 - sqrt(1+x) = -x/(1 + sqrt(1+x)),
+    but underflows with delta.  The log gap, log(gain) - log(cost) of its two
+    terms, is positive iff the margin is.  It is taken from log delta, so it
+    decides junctions far below the smallest double, and from
+    p - 2 = D/(sqrt(n-1)(n lam + 2 sqrt(n-1))), given or formed from
+    ``threshold_discriminant``, so it has D's exact sign; it is -inf where
+    p >= 2, where no competitor beats the cone.  Row i depends on row i's
+    inputs alone, so a one-row call gives a many-row call's row bit for bit.
+    """
     root = math.sqrt(n - 1)
-    disc = threshold_discriminant(n, lams) if disc is None else disc
-    return disc / (root * (n * lams + 2.0 * root))
-
-
-def _margin(n: int, lam, p, log_alpha, delta):
-    """1/n minus the closed-form bound, cancellation-free; broadcasts over arrays.
-
-    p is the decay power n*lam/sqrt(n-1) of lam.
-    """
+    p = n * lams / root
+    if p_minus_2 is None:
+        # p log delta - 2 log delta would cancel every digit at log delta ~ -1e17
+        p_minus_2 = threshold_discriminant(n, lams) / (root * (n * lams + 2.0 * root))
     an = np.exp(n * log_alpha)
-    x = (lam * delta / log_alpha) ** 2
-    # 1 - sqrt(1+x) = -x / (1 + sqrt(1+x))
-    return (an * np.sin(delta) ** p - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
-
-
-def _log_margin(n: int, lam, p_minus_2, log_delta, log_alpha):
-    """log(gain) - log(cost) of ``_margin``; broadcasts over arrays.
-
-    Takes p - 2, not p: p log delta - 2 log delta would cancel every digit
-    at junctions like log delta = -1e17.
-    """
+    x = (lams * delta / log_alpha) ** 2
+    margin = (an * np.sin(delta) ** p - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
     # log sin(delta) = log delta + log(sin(delta)/delta).  The ratio rounds
     # to 1 below delta ~ 2.6e-8, so flooring delta at 1e-300 (it underflows
     # to 0 below log delta ~ -745) leaves log sin(delta) = log delta there.
-    delta = np.maximum(np.exp(log_delta), 1e-300)
-    # cost = (1 - alpha^n) x / (1 + sqrt(1+x)), x = (lam delta / ln alpha)^2;
+    delta = np.maximum(delta, 1e-300)
     # log x = 2 log delta + log_x_rest
-    log_x_rest = 2.0 * (np.log(lam) - np.log(-log_alpha))
-    return (p_minus_2 * log_delta + (2.0 + p_minus_2) * np.log(np.sin(delta) / delta)
-            + n * log_alpha - np.log1p(-np.exp(n * log_alpha)) - log_x_rest
-            + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
+    log_x_rest = 2.0 * (np.log(lams) - np.log(-log_alpha))
+    log_gap = (p_minus_2 * log_delta + (2.0 + p_minus_2) * np.log(np.sin(delta) / delta)
+               + n * log_alpha - np.log1p(-an) - log_x_rest
+               + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
+    return margin, np.where(p_minus_2 < 0.0, log_gap, -np.inf)
 
 
 def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
     """1/n minus the closed-form bound on the competitor's normalized area.
 
-    The bound is 1/n minus this margin.  The arrangement is
-    cancellation-free, so it stays accurate for junction angles far below
-    the square root of machine epsilon, where the direct bound formula
-    loses every significant digit.
+    One row of ``_margin_and_log_gap``: cancellation-free, so it stays
+    accurate for junction angles far below the square root of machine
+    epsilon, where the direct bound formula loses every significant digit.
     """
-    p = space.n * space.lam / math.sqrt(space.n - 1)
-    return float(_margin(space.n, space.lam, p, math.log(alpha), delta))
-
-
-def exp_profile_log_margin(space: ConeSpace, log_delta: float, alpha: float) -> float:
-    """log(gain) - log(cost) of the bound's margin, for arbitrarily small delta.
-
-    Positive iff the closed-form bound lies strictly below 1/n.  Works from
-    the logarithm of the junction angle alone, so junctions far below the
-    smallest positive double remain decidable.
-    """
-    p_minus_2 = _decay_power_minus_2(space.n, np.array([space.lam]))[0]
-    return float(_log_margin(space.n, space.lam, p_minus_2, log_delta, math.log(alpha)))
+    if delta == 0.0:   # a junction that underflowed: x = 0 and sin(0)^p = 0
+        return 0.0
+    margin, _ = _margin_and_log_gap(space.n, np.array([space.lam]), math.log(alpha),
+                                    math.log(delta), delta)
+    return float(margin[0])
 
 
 def _log_sec(t: float) -> float:
@@ -389,7 +390,7 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
 @dataclass(frozen=True)
 class SearchResult:
     found: bool
-    delta: float            # 0.0 when the junction underflows a double
+    delta: float            # the double the margin is computed at; 0.0 once it underflows
     log_delta: float
     alpha: float
     bound: float
@@ -410,7 +411,6 @@ class Searches(NamedTuple):
     log_delta: np.ndarray
     margin: np.ndarray
     log_gap: np.ndarray       # log(gain) - log(cost) of the junction; -inf where p >= 2
-    evaluations: np.ndarray
 
 
 # the junction's candidate alphas: twelve log-spaced from 1e-4 to 0.9, then
@@ -450,8 +450,10 @@ def search_competitors(n: int, lams, disc=None, /) -> Searches:
     that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.  disc is D, if known.
     """
     lams = np.asarray(lams, dtype=float)
-    p = n * lams / math.sqrt(n - 1)
-    p_minus_2 = _decay_power_minus_2(n, lams, disc)
+    disc = threshold_discriminant(n, lams) if disc is None else disc
+    root = math.sqrt(n - 1)
+    # p - 2 free of cancellation, as _margin_and_log_gap forms it
+    p_minus_2 = disc / (root * (n * lams + 2.0 * root))
     alpha_k, la_k, c_k = _junction_alpha(n)
     below = p_minus_2 < 0.0      # p < 2: the exact sign of D
     log_delta = np.full(lams.shape, _LOG_DELTA_CAP)
@@ -459,19 +461,17 @@ def search_competitors(n: int, lams, disc=None, /) -> Searches:
     ld = np.minimum(_JUNCTION_STRETCH * l_star, _LOG_DELTA_CAP)
     # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
     log_delta[below] = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
-    log_gap = np.full(lams.shape, -np.inf)
-    log_gap[below] = _log_margin(n, lams[below], p_minus_2[below], log_delta[below], la_k)
-    alpha = np.full(lams.shape, alpha_k)
     # delta underflows to 0.0 below log delta ~ -745, and the margin with it
-    margin = _margin(n, lams, p, la_k, np.exp(log_delta))
-    return Searches(found=log_gap > 0.0, alpha=alpha, log_delta=log_delta, margin=margin,
-                    log_gap=log_gap, evaluations=below.astype(int))
+    margin, log_gap = _margin_and_log_gap(n, lams, la_k, log_delta, np.exp(log_delta), p_minus_2)
+    return Searches(found=log_gap > 0.0, alpha=np.full(lams.shape, alpha_k),
+                    log_delta=log_delta, margin=margin, log_gap=log_gap)
 
 
 def competitor_search(space: ConeSpace) -> SearchResult:
-    """``search_competitors`` for one cone, with the witness's delta, bound and log gap."""
+    """One row of ``search_competitors``, with the witness's delta and bound."""
     s = search_competitors(space.n, [space.lam])
-    log_delta, margin = float(s.log_delta[0]), float(s.margin[0])
-    return SearchResult(found=bool(s.found[0]), delta=math.exp(log_delta), log_delta=log_delta,
-                        alpha=float(s.alpha[0]), bound=1.0 / space.n - margin, margin=margin,
-                        log_margin_gap=float(s.log_gap[0]), evaluations=int(s.evaluations[0]))
+    log_delta, margin, log_gap = float(s.log_delta[0]), float(s.margin[0]), float(s.log_gap[0])
+    return SearchResult(found=bool(s.found[0]), delta=float(np.exp(s.log_delta[0])),
+                        log_delta=log_delta, alpha=float(s.alpha[0]),
+                        bound=1.0 / space.n - margin, margin=margin, log_margin_gap=log_gap,
+                        evaluations=int(math.isfinite(log_gap)))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import checked_quad
+from .errors import QuadratureError, checked_quad
 from .geometry import ConeSpace
 
 _CONTINUITY_TOL = 1e-12
@@ -142,8 +142,13 @@ class LengthProfile:
 
 
 def _adaptive_quad(fn, lo, hi, cfg: QuadratureConfig, points=()):
+    """``checked_quad`` of a nonnegative fn; a value below 0 raises ``QuadratureError``."""
     pts = [p for p in points if lo < p < hi] or None
-    return checked_quad(fn, lo, hi, cfg.abs_tol, cfg.rel_tol, points=pts)
+    val = checked_quad(fn, lo, hi, cfg.abs_tol, cfg.rel_tol, points=pts)
+    if val < 0.0:
+        raise QuadratureError(f"quadrature of a nonnegative integrand gave {val:.3e}",
+                              residual=-val)
+    return val
 
 
 def graph_area(f: RadialProfile, L: LengthProfile,

@@ -102,16 +102,10 @@ def _larger_roots(n: int, lams: np.ndarray, disc=None) -> np.ndarray:
     return cs
 
 
-def barrier_roots(space: ConeSpace):
-    """Both roots of c^2 - n*lam*c + (n-1) = 0, or None below the discriminant."""
-    c = float(_larger_roots(space.n, np.array([space.lam]))[0])
-    return None if math.isnan(c) else ((space.n - 1) / c, c)
-
-
 def barrier_slope(space: ConeSpace) -> Optional[float]:
-    """Larger root of c = n*lam - (n-1)/c, when real (n*lam >= 2 sqrt(n-1))."""
-    roots = barrier_roots(space)
-    return None if roots is None else roots[1]
+    """One row of ``_larger_roots``: the larger root c, or None where the exact D < 0."""
+    c = float(_larger_roots(space.n, np.array([space.lam]))[0])
+    return None if math.isnan(c) else c
 
 
 def barrier_margins(n: int, lams, disc=None, /) -> np.ndarray:

@@ -71,7 +71,7 @@ def test_competitor_search_report(tmp_path, capsys):
     report = json.loads(path.read_text())
     assert report["verdict"] == "Inconclusive"
     assert report["log_margin_gap"] == -math.inf
-    assert report["delta"] == math.exp(report["log_delta"])
+    assert report["delta"] == float(np.exp(report["log_delta"]))
     # a junction below the smallest double: delta reads 0.0, the logs carry it
     main(["competitor", "--n", "2", "--lam", "0.9999", "--output", str(path)])
     report = json.loads(path.read_text())
@@ -79,6 +79,23 @@ def test_competitor_search_report(tmp_path, capsys):
     assert report["delta"] == 0.0 and report["log_delta"] < -745.0
     assert report["log_margin_gap"] > 0.0
     assert "log_delta:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, lam", [(2, 0.99), (3, 0.9), (5, 0.592)])
+def test_competitor_direct_mode_rechecks_the_search_witness(tmp_path, n, lam):
+    # direct mode at the search's own witness: the same verdict and margin,
+    # decided on the log gap as search mode is
+    search, direct = tmp_path / "search.json", tmp_path / "direct.json"
+    main(["competitor", "--n", str(n), "--lam", repr(lam), "--output", str(search)])
+    found = json.loads(search.read_text())
+    assert found["verdict"] == "NotMinimizing"
+    main(["competitor", "--n", str(n), "--lam", repr(lam), "--delta", repr(found["delta"]),
+          "--alpha", repr(found["alpha"]), "--output", str(direct)])
+    report = json.loads(direct.read_text())
+    assert report["verdict"] == found["verdict"]
+    assert report["margin"] == found["margin"] and report["bound"] == found["bound"]
+    assert report["log_delta"] == math.log(found["delta"])
+    assert report["log_margin_gap"] == pytest.approx(found["log_margin_gap"], rel=1e-12)
 
 
 def test_stability_output(capsys):

@@ -10,11 +10,11 @@ from scipy.integrate import IntegrationWarning
 
 from conelab import competitors
 from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_to_half_pi,
-                                 _log_sec,
+                                 _log_sec, _margin_and_log_gap,
                                  catenoid_area_closed_form, catenoid_profile,
                                  catenoid_residuals, check_length_profile,
                                  competitor_search, disk_profile, exp_profile,
-                                 exp_profile_area, exp_profile_log_margin, exp_profile_margin,
+                                 exp_profile_area, exp_profile_margin,
                                  search_competitors, solve_catenoid)
 from conelab.errors import QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
@@ -207,17 +207,102 @@ class TestExpBound:
     def test_log_margin_sign_matches(self):
         space = ConeSpace(2, 0.9)
         for delta, alpha in [(0.001, 0.5), (0.05, 0.5)]:
-            gap = exp_profile_log_margin(space, math.log(delta), alpha)
-            assert (gap > 0) == (exp_profile_margin(space, delta, alpha) > 0)
+            margin, gap = _margin_and_log_gap(2, np.array([0.9]), math.log(alpha),
+                                              math.log(delta), delta)
+            assert (gap[0] > 0) == (margin[0] > 0) == (exp_profile_margin(space, delta, alpha) > 0)
 
     @given(st.floats(0.05, 0.95), st.floats(-30.0, -1.5))
     @settings(max_examples=200)
     def test_no_false_positive_at_threshold(self, alpha, log_delta):
-        # exactly on the threshold the bound never drops below 1/n
+        # on the threshold the bound never drops below 1/n: at the double
+        # nearest lambda*, and at the largest double below it with D < 0,
+        # where the log gap is computed rather than set to -inf
         for n in (2, 3, 5):
             lam = 2 * math.sqrt(n - 1) / n
-            space = ConeSpace(n, lam)
-            assert exp_profile_log_margin(space, log_delta, alpha) < 0.0
+            below = lam
+            while threshold_discriminant(n, [below])[0] >= 0.0:
+                below = math.nextafter(below, 0.0)
+            _, gap = _margin_and_log_gap(n, np.array([lam, below]), math.log(alpha), log_delta,
+                                         math.exp(log_delta))
+            assert np.all(gap < 0.0) and math.isfinite(gap[1])
+
+    @given(st.integers(2, 50),
+           st.lists(st.tuples(st.floats(0.01, 0.999), st.floats(1e-4, 0.99),
+                              st.floats(-800.0, math.log(1.5))), min_size=1, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_row_of_many_is_one_row_call(self, n, rows):
+        # row i of a many-row kernel call is the one-row call bit for bit:
+        # exp_profile_margin's margin and the kernel's own log gap
+        star = 2 * math.sqrt(n - 1) / n
+        lams = np.array([u * star for u, _, _ in rows])
+        alphas = [a for _, a, _ in rows]
+        log_deltas = np.array([ld for _, _, ld in rows])
+        deltas = np.exp(log_deltas)
+        log_alphas = np.array([math.log(a) for a in alphas])
+        margins, gaps = _margin_and_log_gap(n, lams, log_alphas, log_deltas, deltas)
+        for i, alpha in enumerate(alphas):
+            space = ConeSpace(n, float(lams[i]))
+            assert exp_profile_margin(space, float(deltas[i]), alpha) == margins[i]
+            _, gap = _margin_and_log_gap(n, lams[i:i + 1], math.log(alpha),
+                                         float(log_deltas[i]), float(deltas[i]))
+            assert gap[0] == gaps[i] and np.isfinite(gaps[i])
+
+    def test_margin_is_the_searched_margin(self):
+        # competitor_search reports the delta its margin is computed at, so
+        # exp_profile_margin gives the margin back bit for bit, underflowed
+        # junctions (delta = 0.0) included
+        for n in range(2, 7):
+            star = 2 * math.sqrt(n - 1) / n
+            for lam in np.linspace(0.5, star - 1e-4, 2000):
+                space = ConeSpace(n, float(lam))
+                res = competitor_search(space)
+                assert res.delta == float(np.exp(res.log_delta))
+                assert exp_profile_margin(space, res.delta, res.alpha) == res.margin
+
+
+class TestBoundProof:
+    """Each step of the chain in ``_margin_and_log_gap``'s docstring, in mpmath."""
+
+    @pytest.mark.parametrize("n, lam, delta, alpha", [
+        (2, 0.9, 0.001, 0.5), (3, 0.9, 0.01, 0.3), (5, 0.7, 0.2, 0.8), (10, 0.5, 1e-6, 0.05)])
+    def test_head_below_its_bound(self, n, lam, delta, alpha):
+        # the head's area is at most (1 - alpha^n) sqrt(1+x)/n, since cos <= 1
+        with mpmath.workdps(30):
+            lam_, delta_, alpha_ = (mpmath.mpf(v) for v in (lam, delta, alpha))
+            mu = -mpmath.log(alpha_) / delta_
+            head = mpmath.quad(lambda th: mpmath.sqrt(mu ** 2 + lam_ ** 2)
+                               * mpmath.exp(-n * mu * th) * mpmath.cos(th) ** (n - 1),
+                               [0, delta_])
+            x = (lam_ * delta_ / mpmath.log(alpha_)) ** 2
+            assert head <= (1 - alpha_ ** n) * mpmath.sqrt(1 + x) / n
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_g_prime_below_cot(self, n):
+        # g'(t) = 1/sqrt(sec^(2n-2) t - 1) <= cot t/sqrt(n-1): Bernoulli's
+        # (1+s)^(n-1) - 1 >= (n-1)s with s = tan^2 t; equal at n = 2
+        with mpmath.workdps(60):   # sec^2 t - 1 cancels 12 digits at t = 1e-6
+            for t in np.linspace(1e-6, HALF_PI - 1e-6, 41):
+                t_ = mpmath.mpf(t)
+                g_prime = 1 / mpmath.sqrt(mpmath.sec(t_) ** (2 * n - 2) - 1)
+                bound = mpmath.cot(t_) / mpmath.sqrt(n - 1)
+                if n == 2:
+                    assert abs(g_prime - bound) <= mpmath.mpf(10) ** -40 * bound
+                else:
+                    assert g_prime < bound
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-6, 0.3, 1.5])
+    def test_g_to_half_pi_below_log_sin(self, n, delta):
+        # integrating g' <= cot t/sqrt(n-1): g(pi/2) <= -log sin(delta)/sqrt(n-1),
+        # so f_end^n = alpha^n e^(-n lam g(pi/2)) >= alpha^n sin^p(delta)
+        with mpmath.workdps(30):
+            bound = -mpmath.log(mpmath.sin(mpmath.mpf(delta))) / mpmath.sqrt(n - 1)
+        g = _g_to_half_pi(ConeSpace(n, 0.5), delta)
+        if n == 2:
+            assert g == -math.log(math.sin(delta))
+            assert g == pytest.approx(float(bound), rel=1e-15)
+        else:
+            assert g < float(bound)
 
 
 class TestExpArea:
@@ -393,11 +478,9 @@ class TestSearch:
         res = competitor_search(space)
         assert not res.found
         assert type(res.alpha) is float and type(res.log_delta) is float
-        assert res.delta == math.exp(res.log_delta)
-        assert res.margin == pytest.approx(
-            exp_profile_margin(space, res.delta, res.alpha), rel=1e-12)
-        assert res.bound == pytest.approx(
-            1.0 / 3.0 - exp_profile_margin(space, res.delta, res.alpha), abs=1e-15)
+        assert res.delta == float(np.exp(res.log_delta))
+        assert res.margin == exp_profile_margin(space, res.delta, res.alpha)
+        assert res.bound == 1.0 / 3.0 - exp_profile_margin(space, res.delta, res.alpha)
         assert res.bound == 1.0 / 3.0 - res.margin
         assert res.log_delta == math.log(0.3) and res.evaluations == 0
         assert res.log_margin_gap == -math.inf
@@ -453,7 +536,7 @@ class TestSearch:
             assert np.all(threshold_discriminant(n, lams) < 0.0)
             s = search_competitors(n, lams)
             assert s.found.all(), (n, lams[~s.found])
-            assert np.all(s.evaluations == 1)
+            assert np.all(np.isfinite(s.log_gap))
 
     def test_monotone_threshold_crossing(self):
         # found-flag flips once along a lambda sweep at fixed n
