@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import NumericError, checked_quad
 from .geometry import ConeSpace, threshold_discriminant
@@ -59,62 +59,60 @@ def catenoid_residuals(a: float, b: float, delta: float, alpha: float):
     return r1, r2
 
 
-def solve_catenoid(delta: float, alpha: float, max_iter: int = 100) -> Optional[CatenoidParams]:
-    """Damped Newton solve of the two junction equations for (a, b).
+def solve_catenoid(delta: float, alpha: float) -> Optional[CatenoidParams]:
+    """The neck a and offset b of the patch, on the branch b >= s beyond it.
 
-    Seeds from the small-delta asymptotic a ~ alpha*delta/(-ln alpha).
-    Returns None when the converged point violates a < alpha*cos(delta)
-    (no catenoid patch in that regime).
+    With c = alpha cos(delta) and s = alpha sin(delta), r1 = 0 gives
+    b = a acosh(1/a), and r2 = 0 gives b - s = a acosh(c/a) where b >= s, so
+    the junction is psi(a) = a (acosh(1/a) - acosh(c/a)) - s = 0.  psi(0+) = -s
+    and psi' = G(1) - G(c) > 0, G(k) = acosh(k/a) - k/sqrt(k^2 - a^2) having
+    dG/dk = 1/sqrt(k^2 - a^2) + a^2/(k^2 - a^2)^(3/2) > 0: one root in (0, c)
+    if psi(c) > 0, else no patch and None.  psi is convex, psi'' = (H(c) - H(1))/a
+    with H(k) = (1 - a^2/k^2)^(-3/2) decreasing, so the root lies below
+    c u_hi, u_hi = min(1, 2 tan(delta)/(-log c)), where psi's tangent at 0
+    reaches s.  brentq solves psi(c v u_hi)/s = 0 for v in [0, 1], whose values
+    and steps are of order 1, so none underflows at a ~ 1e-300.  The acosh
+    difference is log((1 + sqrt(1 - a^2)) / (c + sqrt(c^2 - a^2))), taken as
+    log1p((1 - c)(1 + (1 + c)/(sqrt(1 - a^2) + sqrt(c^2 - a^2))) / (c + sqrt(c^2 - a^2)))
+    with 1 - c = (1 - alpha) + 2 alpha sin^2(delta/2), so it keeps its digits as
+    c -> 1.  A neck that is subnormal or rounds to c raises ``NumericError``.
     """
     if not 0.0 < delta < math.pi / 4.0:
         raise ValueError(f"junction angle must lie in (0, pi/4), got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"junction value must lie in (0, 1), got {alpha}")
+    c, tan_delta = alpha * math.cos(delta), math.tan(delta)
+    one_minus_c = (1.0 - alpha) + 2.0 * alpha * math.sin(0.5 * delta) ** 2
+    if c < sys.float_info.min:    # then so is a < c, and the log1p below overflows
+        raise NumericError(f"catenoid neck underflows at (delta, alpha) = {(delta, alpha)}")
 
-    a = alpha * delta / (-math.log(alpha))
-    b = a * math.acosh(1.0 / a)
+    def log_ratio(u):
+        """acosh(1/a) - acosh(c/a) at a = c u."""
+        a = c * u
+        root_1, root_c = math.sqrt((1.0 - a) * (1.0 + a)), c * math.sqrt((1.0 - u) * (1.0 + u))
+        return math.log1p(one_minus_c * (1.0 + (1.0 + c) / (root_1 + root_c)) / (c + root_c))
 
-    def res_norm(a_, b_):
-        if a_ <= 0.0 or abs(b_ / a_) > 700.0 or abs((alpha * math.sin(delta) - b_) / a_) > 700.0:
-            return math.inf
-        r1, r2 = catenoid_residuals(a_, b_, delta, alpha)
-        return max(abs(r1), abs(r2))
-
-    for _ in range(max_iter):
-        r1, r2 = catenoid_residuals(a, b, delta, alpha)
-        if max(abs(r1), abs(r2)) < 1e-14:
-            break
-        u, v = b / a, (alpha * math.sin(delta) - b) / a
-        jac = np.array([
-            [math.cosh(u) - u * math.sinh(u), math.sinh(u)],
-            [math.cosh(v) - v * math.sinh(v), -math.sinh(v)],
-        ])
-        try:
-            da, db = np.linalg.solve(jac, [-r1, -r2])
-        except np.linalg.LinAlgError:
-            raise NumericError("singular Jacobian in catenoid solve",
-                               residual=max(abs(r1), abs(r2)))
-        step = 1.0
-        base = max(abs(r1), abs(r2))
-        for _ in range(40):
-            if res_norm(a + step * da, b + step * db) < base:
-                break
-            step *= 0.5
-        else:
-            raise NumericError("catenoid Newton stalled", residual=base)
-        a, b = a + step * da, b + step * db
-    else:
-        raise NumericError("catenoid Newton did not converge",
-                           residual=res_norm(a, b))
-
-    if not a < alpha * math.cos(delta):
+    if not log_ratio(1.0) > tan_delta:    # psi(c) = c log_ratio(1) - s
         return None
-    return CatenoidParams(delta=delta, alpha=alpha, a=a, b=b)
+    u_hi = min(1.0, 2.0 * tan_delta / (_log_sec(delta) - math.log(alpha)))    # -log c
+    v = optimize.brentq(lambda v: v * u_hi / tan_delta * log_ratio(v * u_hi) - 1.0,
+                        0.0, 1.0, xtol=sys.float_info.min)
+    a = c * (v * u_hi)
+    if not sys.float_info.min <= a < c:
+        raise NumericError(f"catenoid neck {a!r} is subnormal or rounds to alpha cos(delta) "
+                           f"at (delta, alpha) = {(delta, alpha)}")
+    return CatenoidParams(delta=delta, alpha=alpha, a=a, b=a * math.acosh(1.0 / a))
 
 
 def catenoid_profile(params: CatenoidParams) -> RadialProfile:
-    """Profile f(t) on [0, delta] solving f cos t = a cosh((f sin t - b)/a)."""
-    a, b, alpha = params.a, params.b, params.alpha
+    """Profile f(t) on [0, delta] solving f cos t = a cosh((f sin t - b)/a).
+
+    Left side minus right is -1 at f = 0 (by r1), and at f = b / sin t it is
+    b cot t - a >= c - a > 0; at f = 2 <= b / sin t it is at least 2 cos t - 1 > 0,
+    as cosh's argument is in [-b/a, 0] up to f = b / sin t.  Its f-derivative
+    cos t - sin t sinh((f sin t - b)/a) is at least cos t > 0 there: one root.
+    """
+    a, b = params.a, params.b
 
     def implicit(f, t):
         return f * math.cos(t) - a * math.cosh((f * math.sin(t) - b) / a)
@@ -122,7 +120,7 @@ def catenoid_profile(params: CatenoidParams) -> RadialProfile:
     def f_eval(t):
         if t <= 0.0:
             return 1.0
-        return optimize.brentq(implicit, 0.5 * alpha, 1.5, args=(t,), xtol=1e-15)
+        return optimize.brentq(implicit, 0.0, min(2.0, b / math.sin(t)), args=(t,), xtol=1e-15)
 
     def f_deriv(t):
         f = f_eval(t)
@@ -142,20 +140,6 @@ def catenoid_area_closed_form(params: CatenoidParams, L0: float) -> float:
     return 0.5 * L0 * (math.sqrt(1.0 - a * a)
                        - alpha**2 * math.cos(delta)
                        * math.cos(delta + math.asin(arg)))
-
-
-def check_length_profile(L: LengthProfile, samples: int = 64, tol: float = 1e-8) -> None:
-    """Verify L(t)^2 + F(t)^2 <= L(0)^2 with F the cumulative integral of L.
-
-    This comparison-geometry inequality is what makes the disk area bound
-    work; tabulated length profiles must satisfy it.
-    """
-    ts = np.linspace(0.0, L.hi, samples + 1)
-    Ls = np.array([L(t) for t in ts])
-    F = integrate.cumulative_trapezoid(Ls, ts, initial=0.0)
-    worst = float(np.max(Ls**2 + F**2) - L.L0**2)
-    if worst > tol * L.L0**2:
-        raise ValueError(f"length profile violates L^2 + F^2 <= L(0)^2 by {worst:.3e}")
 
 
 def _log_quad(fn, lo: float, hi: float, tol: float, lead: float = 0.0) -> float:
@@ -181,7 +165,6 @@ def disk_profile(delta: float, alpha: float, L: LengthProfile,
     """
     if not 0.0 < delta < L.hi:
         raise ValueError(f"junction {delta} outside the length profile domain")
-    check_length_profile(L)
     L0, hi = L.L0, L.hi
     if L.deficit(delta) <= 0.0:
         raise NumericError("integrand singular at the junction: L(delta) >= L(0)")
@@ -286,7 +269,12 @@ def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
 
 
 def _log_sec(t: float) -> float:
-    """-log(cos t), from cos t = 1 - 2 sin^2(t/2) so small t keeps its digits."""
+    """-log(cos t), up to pi/4 from cos t = 1 - 2 sin^2(t/2) so small t keeps its digits.
+
+    Above pi/4 that form cancels as t -> pi/2, where cos t itself is exact.
+    """
+    if t > 0.25 * math.pi:
+        return -math.log(math.cos(t))
     return -math.log1p(-2.0 * math.sin(0.5 * t) ** 2)
 
 

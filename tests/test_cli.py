@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +159,21 @@ def test_config_turns_timing_off(tmp_path, monkeypatch, capsys):
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+def _readme_commands():
+    """The cone-min-lab lines of README's first "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in joined.splitlines()
+            if line.startswith("cone-min-lab ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every documented command exits 0, so the README cannot drift from the CLI
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert main(argv) == 0, argv

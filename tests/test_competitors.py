@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -8,20 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
-from conelab import competitors
-from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_to_half_pi,
-                                 _log_sec, _margin_and_log_gap,
+from conelab import competitors, errors
+from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_integrand,
+                                 _g_to_half_pi, _log_sec, _margin_and_log_gap,
                                  catenoid_area_closed_form, catenoid_profile,
-                                 catenoid_residuals, check_length_profile,
-                                 competitor_search, disk_profile, exp_profile,
-                                 exp_profile_area, exp_profile_margin,
+                                 catenoid_residuals, competitor_search, disk_profile,
+                                 exp_profile, exp_profile_area, exp_profile_margin,
                                  search_competitors, solve_catenoid)
-from conelab.errors import QuadratureError
+from conelab.errors import NumericError, QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.profiles import LengthProfile, graph_area, s_functional
 
 HALF_PI = math.pi / 2
 L0 = 2 * math.pi
+
+
+def assert_valid_catenoid(p, delta, alpha):
+    """Junction residuals at most 1e-12, neck below alpha cos(delta), offset beyond the patch."""
+    r1, r2 = catenoid_residuals(p.a, p.b, delta, alpha)
+    assert max(abs(r1), abs(r2)) <= 1e-12, (delta, alpha, r1, r2)
+    assert p.a < alpha * math.cos(delta) and p.b >= alpha * math.sin(delta), (delta, alpha)
 
 
 class TestCatenoid:
@@ -50,10 +57,12 @@ class TestCatenoid:
             solve_catenoid(0.01, 1.5)
 
     def test_closed_form_vs_quadrature(self):
-        p = solve_catenoid(0.01, 0.5)
-        closed = catenoid_area_closed_form(p, L0)
-        quad = graph_area(catenoid_profile(p), LengthProfile.round_sphere())
-        assert quad == pytest.approx(closed, rel=1e-8)
+        # f(t) brackets on [0, min(2, b / sin t)], which holds for every patch
+        for delta, alpha in ((0.01, 0.5), (0.01, 0.05), (0.5, 0.3)):
+            p = solve_catenoid(delta, alpha)
+            closed = catenoid_area_closed_form(p, L0)
+            quad = graph_area(catenoid_profile(p), LengthProfile.round_sphere())
+            assert quad == pytest.approx(closed, rel=1e-8), (delta, alpha)
 
     def test_degenerate_neck_limit(self):
         # as a -> 0 the closed form collapses to the annulus value
@@ -84,10 +93,49 @@ class TestCatenoid:
         extrap = (coefs[d2] * d1 - coefs[d1] * d2) / (d1 - d2)
         assert extrap == pytest.approx(target, rel=0.02)
 
+    @pytest.mark.parametrize("delta, alpha, a, b", [
+        (0.01, 0.5, 0.007212428653960509, 0.040570514964972194),
+        (1e-3, 0.5, 0.0007213464737450759, 0.00571850161097276),
+        (0.1, 0.3, 0.024740841767579142, 0.10866905100277312)])
+    def test_pinned_neck_and_offset(self, delta, alpha, a, b):
+        p = solve_catenoid(delta, alpha)
+        assert type(p.a) is float and type(p.b) is float
+        assert p.a == pytest.approx(a, rel=1e-14, abs=0.0)
+        assert p.b == pytest.approx(b, rel=1e-14, abs=0.0)
+
+    def test_wide_junction_solved(self):
+        # a wide junction: the neck is 0.885 alpha cos(delta)
+        p = solve_catenoid(0.2, 0.9)
+        assert_valid_catenoid(p, 0.2, 0.9)
+
+    def test_no_patch_near_the_corner(self):
+        # psi(alpha cos(delta)) <= 0: no neck puts the offset beyond the patch
+        assert solve_catenoid(0.78, 0.995) is None
+
+    @given(st.floats(math.log(1e-300), math.log(math.pi / 4), exclude_max=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_solve_valid_or_none_over_the_domain(self, log_delta, alpha):
+        delta = math.exp(log_delta)
+        if not 0.0 < delta < math.pi / 4:
+            return
+        try:
+            p = solve_catenoid(delta, alpha)
+        except NumericError:
+            return      # no normal double below alpha cos(delta) holds the neck
+        if p is not None:
+            assert_valid_catenoid(p, delta, alpha)
+
+    @pytest.mark.parametrize("delta, alpha", [(1e-300, 1e-20), (0.5, 1e-310)])
+    def test_underflowing_neck_raises(self, delta, alpha):
+        with pytest.raises(NumericError):
+            solve_catenoid(delta, alpha)
+
     def test_profile_endpoints(self):
         p = solve_catenoid(0.01, 0.5)
         f = catenoid_profile(p)
         assert f(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert f(5e-324) == pytest.approx(1.0, abs=1e-12)   # b / sin t overflows here
         assert f(0.01) * math.cos(0.01) == pytest.approx(
             p.a * math.cosh((f(0.01) * math.sin(0.01) - p.b) / p.a), abs=1e-12)
 
@@ -136,13 +184,10 @@ class TestDisk:
         assert area == pytest.approx(0.5 * L0 * 0.25 * math.cos(0.1) ** 2, abs=1e-6)
 
     def test_inadmissible_table_rejected(self):
-        # constant L violates L^2 + F^2 <= L0^2 away from 0
+        # constant L violates L^2 + F^2 <= L0^2 away from 0: no such profile is built
         ts = np.linspace(0.0, HALF_PI, 50)
-        L = LengthProfile.from_table(ts, np.full_like(ts, 1.0))
         with pytest.raises(ValueError):
-            check_length_profile(L)
-        with pytest.raises(ValueError):
-            disk_profile(0.1, 0.5, L)
+            LengthProfile.from_table(ts, np.full_like(ts, 1.0))
 
     def test_junction_outside_domain(self):
         with pytest.raises(ValueError):
@@ -375,6 +420,18 @@ class TestExpArea:
                 exact = -mpmath.log(mpmath.cos(mpmath.mpf(t)))
                 assert abs(_log_sec(t) - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 50])
+    def test_g_prime_near_half_pi_matches_mpmath(self, n):
+        # -log cos t keeps its digits as t -> pi/2, where 1 - 2 sin^2(t/2) cancels
+        for k in range(2, 11):
+            t = HALF_PI - 10.0 ** -k
+            with mpmath.workdps(60):
+                t_ = mpmath.mpf(t)
+                exact = 1 / mpmath.sqrt(mpmath.sec(t_) ** (2 * n - 2) - 1)
+                if exact < sys.float_info.min:
+                    continue
+                assert abs(_g_integrand(t, n) - exact) <= 1e-12 * exact, (n, k)
+
     def test_tail_integral_matches_mpmath(self):
         # both sides of the split at _DELTA_CAP, against 60 digits summed
         # from pi/2 down over the deltas, in tau = log t below t = 1; expm1
@@ -407,13 +464,13 @@ class TestExpArea:
         # after the first area at n = 4, a second junction below the cap
         # makes two quads: the head and the tail's remainder below the cap
         calls = []
-        quad = competitors.integrate.quad
+        quad = errors.integrate.quad
 
         def counting_quad(*args, **kwargs):
             calls.append(args[1:3])
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(competitors.integrate, "quad", counting_quad)
+        monkeypatch.setattr(errors.integrate, "quad", counting_quad)
         competitors._g_cap_to_half_pi.cache_clear()
         space = ConeSpace(4, 0.8)
         first = exp_profile_area(space, 1e-5, 0.5)
