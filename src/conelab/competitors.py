@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 from .errors import NumericError, checked_quad
 from .geometry import ConeSpace, threshold_discriminant
@@ -95,8 +95,8 @@ def solve_catenoid(delta: float, alpha: float) -> Optional[CatenoidParams]:
     if not log_ratio(1.0) > tan_delta:    # psi(c) = c log_ratio(1) - s
         return None
     u_hi = min(1.0, 2.0 * tan_delta / (_log_sec(delta) - math.log(alpha)))    # -log c
-    v = optimize.brentq(lambda v: v * u_hi / tan_delta * log_ratio(v * u_hi) - 1.0,
-                        0.0, 1.0, xtol=sys.float_info.min)
+    v = scipy.optimize.brentq(lambda v: v * u_hi / tan_delta * log_ratio(v * u_hi) - 1.0,
+                              0.0, 1.0, xtol=sys.float_info.min)
     a = c * (v * u_hi)
     if not sys.float_info.min <= a < c:
         raise NumericError(f"catenoid neck {a!r} is subnormal or rounds to alpha cos(delta) "
@@ -120,7 +120,8 @@ def catenoid_profile(params: CatenoidParams) -> RadialProfile:
     def f_eval(t):
         if t <= 0.0:
             return 1.0
-        return optimize.brentq(implicit, 0.0, min(2.0, b / math.sin(t)), args=(t,), xtol=1e-15)
+        return scipy.optimize.brentq(implicit, 0.0, min(2.0, b / math.sin(t)), args=(t,),
+                                     xtol=1e-15)
 
     def f_deriv(t):
         f = f_eval(t)

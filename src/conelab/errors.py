@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one checked quadrature."""
 
-from scipy import integrate
+import scipy
 
 
 class NumericError(RuntimeError):
@@ -23,8 +23,8 @@ def checked_quad(fn, lo, hi, abs_tol, rel_tol, points=None, args=()) -> float:
 
     Raises ``QuadratureError`` if its error exceeds 100 max(abs_tol, rel_tol |value|).
     """
-    val, err = integrate.quad(fn, lo, hi, args=args, points=points, epsabs=abs_tol,
-                              epsrel=rel_tol, limit=240)
+    val, err = scipy.integrate.quad(fn, lo, hi, args=args, points=points, epsabs=abs_tol,
+                                    epsrel=rel_tol, limit=240)
     if err > 100.0 * max(abs_tol, rel_tol * abs(val)):
         raise QuadratureError(f"quadrature residual {err:.3e} exceeds tolerance", residual=err)
     return val

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 from .errors import checked_quad
 
@@ -176,8 +176,8 @@ class RevolutionSurface:
         """Largest z with rho(z)^2 + z^2 <= r^2."""
         if self._dist_sq(self.z_max) <= r * r:
             raise ValueError(f"radius {r} exceeds the sampled patch")
-        return optimize.brentq(lambda z: self._dist_sq(z) - r * r, 0.0, self.z_max,
-                               xtol=1e-14)
+        return scipy.optimize.brentq(lambda z: self._dist_sq(z) - r * r, 0.0, self.z_max,
+                                     xtol=1e-14)
 
     def area_in_ball(self, r: float) -> float:
         if r <= 0.0:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+import scipy
 
 from .errors import QuadratureError, checked_quad
 from .geometry import ConeSpace
@@ -76,7 +75,7 @@ class RadialProfile:
             raise ValueError("sample abscissae must be strictly increasing")
         if np.any(fs <= 0.0):
             raise ValueError("profile values must be positive")
-        spline = CubicSpline(xs, fs)
+        spline = scipy.interpolate.CubicSpline(xs, fs)
         dspline = spline.derivative()
         return cls(lo=float(xs[0]), hi=float(xs[-1]),
                    eval=lambda x: float(spline(x)), deriv=lambda x: float(dspline(x)))
@@ -124,7 +123,8 @@ class LengthProfile:
     def __post_init__(self):
         ts = np.linspace(0.0, self.hi, 65)
         Ls = np.array([self(t) for t in ts])
-        worst = float(np.max(Ls**2 + cumulative_trapezoid(Ls, ts, initial=0.0)**2) - self.L0**2)
+        Fs = scipy.integrate.cumulative_trapezoid(Ls, ts, initial=0.0)
+        worst = float(np.max(Ls**2 + Fs**2) - self.L0**2)
         if worst > 1e-8 * self.L0**2:
             raise ValueError(f"length profile violates L^2 + F^2 <= L(0)^2 by {worst:.3e}")
 
@@ -146,7 +146,7 @@ class LengthProfile:
             raise ValueError("table abscissae must start at 0 and increase")
         if np.any(Ls < 0.0) or np.any(Ls > Ls[0]):
             raise ValueError("need 0 <= L(t) <= L(0)")
-        spline = CubicSpline(ts, Ls)
+        spline = scipy.interpolate.CubicSpline(ts, Ls)
         L0 = float(Ls[0])
         return cls(deficit=lambda t: L0 - max(float(spline(t)), 0.0), L0=L0, hi=float(ts[-1]))
 

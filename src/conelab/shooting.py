@@ -20,8 +20,7 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq
+import scipy
 
 from .errors import NumericError, QuadratureError
 from .geometry import ConeSpace, threshold_discriminant
@@ -116,8 +115,10 @@ def barrier_margins(n: int, lams, disc=None, /) -> np.ndarray:
     Every Taylor coefficient a_k of tan is positive (Abramowitz & Stegun
     4.3.67), so tan(c theta) - c tan(theta) = sum a_k (c^(2k+1) - c)
     theta^(2k+1) >= 0 for c >= 1 and 0 < c*theta < pi/2: the line is a
-    barrier wherever D >= 0.  The normalized margin is the theta -> 0 limit
-    of m(theta)/theta^2, which a 50-digit probe found to be its infimum.
+    barrier wherever D >= 0; m(theta) >= 0 is all the certificate uses.  The
+    normalized margin is the theta -> 0 limit of m(theta)/theta^2, not a
+    proved lower bound on it (a 50-digit probe saw m(theta)/theta^2
+    increase on every line it tried, but that is observed, not proved).
     """
     cs = _larger_roots(n, np.asarray(lams, dtype=float), disc)
     return (n - 1) * (cs - 1.0) * (cs + 1.0) / (3.0 * cs)
@@ -243,8 +244,8 @@ class _Path:
     def crossing(self, level: float) -> float:
         """Where the last step's interpolant of y meets ``level``."""
         i = len(self.stages) - 1
-        return brentq(lambda t: self._at(i, t)[0] - level, self.ts[-2], self.ts[-1],
-                      xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+        return scipy.optimize.brentq(lambda t: self._at(i, t)[0] - level, self.ts[-2], self.ts[-1],
+                                     xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
     def cut(self, t: float) -> None:
         """End the path at t inside its last step."""
@@ -263,7 +264,7 @@ def _initial_step(fun, t, y, z, fy, fz, t_bound, direction, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     hd = h0 * direction
-    gy, gz = fun(t + hd, y + hd * fy, z + hd * fz)
+    gy, gz = fun(t + hd, y + hd * fy)
     d2 = math.hypot((gy - fy) / sy, (gz - fz) / sz) / _SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -274,7 +275,10 @@ def _initial_step(fun, t, y, z, fy, fz, t_bound, direction, rtol, atol):
 
 def _dopri(fun, t: float, y: float, z: float, t_bound: float, rtol: float,
            atol: float, watch=None) -> _Path:
-    """Integrate (y, z)' = fun(t, y, z) from t to t_bound, in either direction.
+    """Integrate (y, z)' = fun(t, y) from t to t_bound, in either direction.
+
+    The right-hand side does not depend on z, so each stage builds only its y
+    argument; z is the running integral of fun's second component.
 
     Dormand-Prince 5(4) in plain floats with scipy RK45's controller: RMS
     error norm with scale atol + max(|y|, |y_new|) * rtol, safety 0.9, step
@@ -286,7 +290,7 @@ def _dopri(fun, t: float, y: float, z: float, t_bound: float, rtol: float,
     ts, ys, zs, stages = path.ts, path.ys, path.zs, path.stages
     direction = 1.0 if t_bound > t else -1.0
     toward = direction * math.inf
-    fy, fz = fun(t, y, z)
+    fy, fz = fun(t, y)
     h_abs = _initial_step(fun, t, y, z, fy, fz, t_bound, direction, rtol, atol)
     while t != t_bound:
         min_step = 10.0 * abs(math.nextafter(t, toward) - t)
@@ -302,23 +306,16 @@ def _dopri(fun, t: float, y: float, z: float, t_bound: float, rtol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            k2y, k2z = fun(t + _C2 * h, y + fy * _A21 * h, z + fz * _A21 * h)
-            k3y, k3z = fun(t + _C3 * h, y + (fy * _A31 + k2y * _A32) * h,
-                           z + (fz * _A31 + k2z * _A32) * h)
-            k4y, k4z = fun(t + _C4 * h,
-                           y + (fy * _A41 + k2y * _A42 + k3y * _A43) * h,
-                           z + (fz * _A41 + k2z * _A42 + k3z * _A43) * h)
+            k2y, k2z = fun(t + _C2 * h, y + fy * _A21 * h)
+            k3y, k3z = fun(t + _C3 * h, y + (fy * _A31 + k2y * _A32) * h)
+            k4y, k4z = fun(t + _C4 * h, y + (fy * _A41 + k2y * _A42 + k3y * _A43) * h)
             k5y, k5z = fun(t + _C5 * h,
-                           y + (fy * _A51 + k2y * _A52 + k3y * _A53 + k4y * _A54) * h,
-                           z + (fz * _A51 + k2z * _A52 + k3z * _A53 + k4z * _A54) * h)
-            k6y, k6z = fun(t + h,
-                           y + (fy * _A61 + k2y * _A62 + k3y * _A63 + k4y * _A64
-                                + k5y * _A65) * h,
-                           z + (fz * _A61 + k2z * _A62 + k3z * _A63 + k4z * _A64
-                                + k5z * _A65) * h)
+                           y + (fy * _A51 + k2y * _A52 + k3y * _A53 + k4y * _A54) * h)
+            k6y, k6z = fun(t + h, y + (fy * _A61 + k2y * _A62 + k3y * _A63 + k4y * _A64
+                                       + k5y * _A65) * h)
             y_new = y + h * (fy * _B1 + k3y * _B3 + k4y * _B4 + k5y * _B5 + k6y * _B6)
             z_new = z + h * (fz * _B1 + k3z * _B3 + k4z * _B4 + k5z * _B5 + k6z * _B6)
-            k7y, k7z = fun(t + h, y_new, z_new)
+            k7y, k7z = fun(t + h, y_new)
             ey = (fy * _E1 + k3y * _E3 + k4y * _E4 + k5y * _E5 + k6y * _E6
                   + k7y * _E7) * h / (atol + max(abs(y), abs(y_new)) * rtol)
             ez = (fz * _E1 + k3z * _E3 + k4z * _E4 + k5z * _E5 + k6z * _E6
@@ -348,7 +345,7 @@ def _theta_rhs(space: ConeSpace):
     """(H, log f)' over theta: the angle ODE and f'/f = -lam cot H."""
     nl, nm1, lam = space.n * space.lam, space.n - 1, space.lam
 
-    def rhs(theta, H, logf):
+    def rhs(theta, H):
         cot = 1.0 / math.tan(H)
         return nl - nm1 * math.tan(theta) * cot, -lam * cot
 
@@ -360,7 +357,7 @@ def _floor_tail(space: ConeSpace, theta_e: float, H_e: float, logf_e: float,
     """Integrate (theta, log f) as functions of H from H_e down to the floor."""
     nl, nm1, lam = space.n * space.lam, space.n - 1, space.lam
 
-    def rhs(H, theta, logf):
+    def rhs(H, theta):
         tan_H = math.tan(H)
         slope = nl - nm1 * math.tan(theta) / tan_H
         return 1.0 / slope, -lam / tan_H / slope
@@ -577,8 +574,8 @@ def _mesh_area(space: ConeSpace, path: _Path, logf_last: float,
     values = np.exp(n * logfs) * np.cos(thetas) ** (n - 1) / np.sin(Hs)
     sums = (values @ _WEIGHTS) * np.abs(width)
     a = n / 2.0
-    tail = (math.exp(n * logf_last) * special.beta(a, 0.5)
-            * special.betainc(a, 0.5, math.sin(HALF_PI - path.t_max) ** 2) / 2.0)
+    tail = (math.exp(n * logf_last) * scipy.special.beta(a, 0.5)
+            * scipy.special.betainc(a, 0.5, math.sin(HALF_PI - path.t_max) ** 2) / 2.0)
     area = space.lam * (float(sums[:, 1].sum()) + tail)
     residual = space.lam * float(np.abs(sums[:, 1] - sums[:, 0]).sum())
     if residual > max(cfg.abs_tol, cfg.rel_tol * area):

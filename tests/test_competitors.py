@@ -5,11 +5,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
-from conelab import competitors, errors
+from conelab import competitors
 from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_integrand,
                                  _g_to_half_pi, _log_sec, _margin_and_log_gap,
                                  catenoid_area_closed_form, catenoid_profile,
@@ -464,13 +465,13 @@ class TestExpArea:
         # after the first area at n = 4, a second junction below the cap
         # makes two quads: the head and the tail's remainder below the cap
         calls = []
-        quad = errors.integrate.quad
+        quad = scipy.integrate.quad
 
         def counting_quad(*args, **kwargs):
             calls.append(args[1:3])
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(errors.integrate, "quad", counting_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
         competitors._g_cap_to_half_pi.cache_clear()
         space = ConeSpace(4, 0.8)
         first = exp_profile_area(space, 1e-5, 0.5)

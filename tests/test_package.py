@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -36,3 +38,43 @@ def test_every_quad_is_checked():
              if not (path.name == "errors.py"
                      and helper[0].lineno <= node.lineno <= helper[0].end_lineno)]
     assert not stray
+
+
+# scipy subpackages that each cost a large share of start-up; the package
+# imports bare scipy and reaches them by attribute, so each loads on first use
+_SUBPACKAGES = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.interpolate",
+                "scipy.linalg")
+
+
+def _subpackages_after(code: str, tmp_path) -> set[str]:
+    """The scipy subpackages a fresh interpreter holds after running code."""
+    src = str(Path(conelab.__file__).parents[1])
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n{code}\n"
+              f"print('loaded', *(m for m in {_SUBPACKAGES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines()[-1].split()[1:])
+
+
+def test_scans_and_cli_load_no_scipy_subpackage(tmp_path):
+    code = """
+import conelab
+from conelab import cli, competitors, phase
+from conelab.geometry import ConeSpace
+phase.emit(phase.scan([3], [0.8, 0.95]), "csv", "scan.csv")
+phase.decide(ConeSpace(3, 0.9))
+competitors.competitor_search(ConeSpace(3, 0.9))
+cli.main(["scan", "--n", "3", "4", "--lambda-points", "26", "--output", "cli.csv"])
+"""
+    assert _subpackages_after(code, tmp_path) == set()
+
+
+def test_oracle_loads_only_scipy_special(tmp_path):
+    code = """
+from conelab import shooting
+from conelab.geometry import ConeSpace
+space = ConeSpace(2, 0.85)
+for H0, outcome in shooting.find_extending_shots(space):
+    shooting.flux_consistency(space, H0, outcome)
+"""
+    assert _subpackages_after(code, tmp_path) == {"scipy.special"}
