@@ -117,19 +117,14 @@ def catenoid_profile(params: CatenoidParams) -> RadialProfile:
     def implicit(f, t):
         return f * math.cos(t) - a * math.cosh((f * math.sin(t) - b) / a)
 
-    def f_eval(t):
-        if t <= 0.0:
-            return 1.0
-        return scipy.optimize.brentq(implicit, 0.0, min(2.0, b / math.sin(t)), args=(t,),
-                                     xtol=1e-15)
-
-    def f_deriv(t):
-        f = f_eval(t)
+    def jet(t):
+        f = 1.0 if t <= 0.0 else scipy.optimize.brentq(
+            implicit, 0.0, min(2.0, b / math.sin(t)), args=(t,), xtol=1e-15)
         sh = math.sinh((f * math.sin(t) - b) / a)
-        return (f * (math.sin(t) + sh * math.cos(t))
-                / (math.cos(t) - sh * math.sin(t)))
+        return f, (f * (math.sin(t) + sh * math.cos(t))
+                   / (math.cos(t) - sh * math.sin(t)))
 
-    return RadialProfile(lo=0.0, hi=params.delta, eval=f_eval, deriv=f_deriv)
+    return RadialProfile(lo=0.0, hi=params.delta, eval=jet)
 
 
 def catenoid_area_closed_form(params: CatenoidParams, L0: float) -> float:
@@ -180,10 +175,11 @@ def disk_profile(delta: float, alpha: float, L: LengthProfile,
     # alpha^2 - f_end^2 = -alpha^2 expm1(-2 g_end)
     area = -0.5 * L0 * alpha**2 * math.expm1(-2.0 * g(hi))
 
-    def f_eval(t):
-        return alpha * math.exp(-g(t))
+    def jet(t):
+        f = alpha * math.exp(-g(t))
+        return f, -f * dg(t)
 
-    return RadialProfile(lo=delta, hi=hi, eval=f_eval, deriv=lambda t: -f_eval(t) * dg(t)), area
+    return RadialProfile(lo=delta, hi=hi, eval=jet), area
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +326,18 @@ def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
     mu = ExpCompetitor(space=space, delta=delta, alpha=alpha).mu
     n, lam = space.n, space.lam
 
-    head = RadialProfile(lo=0.0, hi=delta,
-                         eval=lambda th: math.exp(-mu * th),
-                         deriv=lambda th: -mu * math.exp(-mu * th))
+    def head_jet(th):
+        f = math.exp(-mu * th)
+        return f, -mu * f
 
     g_delta = _g_to_half_pi(space, delta)
 
-    def tail_eval(th):
-        return alpha * math.exp(-lam * (g_delta - _g_to_half_pi(space, min(th, HALF_PI))))
+    def tail_jet(th):
+        f = alpha * math.exp(-lam * (g_delta - _g_to_half_pi(space, min(th, HALF_PI))))
+        return f, -lam * f * _g_integrand(th, n)
 
-    tail = RadialProfile(lo=delta, hi=HALF_PI, eval=tail_eval,
-                         deriv=lambda th: -lam * tail_eval(th) * _g_integrand(th, n))
-    return RadialProfile.piecewise([head, tail])
+    return RadialProfile.piecewise([RadialProfile(lo=0.0, hi=delta, eval=head_jet),
+                                    RadialProfile(lo=delta, hi=HALF_PI, eval=tail_jet)])
 
 
 def exp_profile_area(space: ConeSpace, delta: float, alpha: float,

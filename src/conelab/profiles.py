@@ -10,6 +10,7 @@ declared profile breakpoints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,15 +39,15 @@ class QuadratureConfig:
 class RadialProfile:
     """Positive piecewise-smooth profile over a closed interval.
 
-    ``eval`` and ``deriv`` are scalar callables; ``breakpoints`` lists the
+    ``eval`` is a scalar callable returning the pair (f(x), f'(x)), so a
+    quadrature node evaluates the profile once; ``breakpoints`` lists the
     interior abscissae where the derivative may jump so quadrature never
     straddles one.
     """
 
     lo: float
     hi: float
-    eval: Callable[[float], float]
-    deriv: Callable[[float], float]
+    eval: Callable[[float], tuple[float, float]]
     breakpoints: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -57,13 +58,13 @@ class RadialProfile:
                 raise ValueError(f"breakpoint {b} outside the open domain")
 
     def __call__(self, x: float) -> float:
-        return self.eval(x)
+        return self.eval(x)[0]
 
     @classmethod
     def constant(cls, value: float, lo: float = 0.0, hi: float = math.pi / 2.0) -> "RadialProfile":
         if value <= 0.0:
             raise ValueError("profile values must be positive")
-        return cls(lo=lo, hi=hi, eval=lambda x: value, deriv=lambda x: 0.0)
+        return cls(lo=lo, hi=hi, eval=lambda x: (value, 0.0))
 
     @classmethod
     def from_samples(cls, xs: Sequence[float], fs: Sequence[float]) -> "RadialProfile":
@@ -76,34 +77,24 @@ class RadialProfile:
         if np.any(fs <= 0.0):
             raise ValueError("profile values must be positive")
         spline = scipy.interpolate.CubicSpline(xs, fs)
-        dspline = spline.derivative()
         return cls(lo=float(xs[0]), hi=float(xs[-1]),
-                   eval=lambda x: float(spline(x)), deriv=lambda x: float(dspline(x)))
+                   eval=lambda x: (float(spline(x)), float(spline(x, 1))))
 
     @classmethod
     def piecewise(cls, pieces: Sequence["RadialProfile"]) -> "RadialProfile":
         """Concatenate adjacent profiles; values must match at the junctions."""
         pieces = sorted(pieces, key=lambda p: p.lo)
-        breaks = []
         for left, right in zip(pieces, pieces[1:]):
             if abs(left.hi - right.lo) > _CONTINUITY_TOL:
                 raise ValueError("pieces do not tile the domain")
-            gap = abs(left.eval(left.hi) - right.eval(right.lo))
-            if gap > _CONTINUITY_TOL * max(1.0, abs(left.eval(left.hi))):
+            gap = abs(left(left.hi) - right(right.lo))
+            if gap > _CONTINUITY_TOL * max(1.0, abs(left(left.hi))):
                 raise ValueError(f"profile discontinuous at {left.hi}: gap {gap:.3e}")
-            breaks.append(left.hi)
-            breaks.extend(b for b in left.breakpoints)
-        breaks.extend(pieces[-1].breakpoints)
-
-        def _select(x):
-            for p in pieces[:-1]:
-                if x < p.hi:
-                    return p
-            return pieces[-1]
-
+        junctions = [p.hi for p in pieces[:-1]]
+        breaks = junctions + [b for p in pieces for b in p.breakpoints]
+        # a junction belongs to the piece on its right
         return cls(lo=pieces[0].lo, hi=pieces[-1].hi,
-                   eval=lambda x: _select(x).eval(x),
-                   deriv=lambda x: _select(x).deriv(x),
+                   eval=lambda x: pieces[bisect_right(junctions, x)].eval(x),
                    breakpoints=tuple(sorted(set(breaks))))
 
 
@@ -123,7 +114,7 @@ class LengthProfile:
     def __post_init__(self):
         ts = np.linspace(0.0, self.hi, 65)
         Ls = np.array([self(t) for t in ts])
-        Fs = scipy.integrate.cumulative_trapezoid(Ls, ts, initial=0.0)
+        Fs = np.concatenate(([0.0], np.cumsum(np.diff(ts) * (Ls[1:] + Ls[:-1]) / 2.0)))
         worst = float(np.max(Ls**2 + Fs**2) - self.L0**2)
         if worst > 1e-8 * self.L0**2:
             raise ValueError(f"length profile violates L^2 + F^2 <= L(0)^2 by {worst:.3e}")
@@ -152,9 +143,24 @@ class LengthProfile:
 
 
 def _adaptive_quad(fn, lo, hi, cfg: QuadratureConfig, points=()):
-    """``checked_quad`` of a nonnegative fn; a value below 0 raises ``QuadratureError``."""
-    pts = [p for p in points if lo < p < hi] or None
-    val = checked_quad(fn, lo, hi, cfg.abs_tol, cfg.rel_tol, points=pts)
+    """``checked_quad`` of a nonnegative fn; a value below 0 raises ``QuadratureError``.
+
+    A segment [a, b] between the points with a > 0 and b > 10 a spans decades,
+    and a profile's mass may sit near a.  If one does, each segment is
+    integrated on its own, the wide ones in tau = log theta.
+    """
+    edges = [lo, *sorted(p for p in points if lo < p < hi), hi]
+    segments = [(a, b, a > 0.0 and b > 10.0 * a) for a, b in zip(edges, edges[1:])]
+
+    def in_tau(tau):
+        return math.exp(tau) * fn(math.exp(tau))
+
+    if any(wide for _, _, wide in segments):
+        val = sum(checked_quad(in_tau, math.log(a), math.log(b), cfg.abs_tol, cfg.rel_tol)
+                  if wide else checked_quad(fn, a, b, cfg.abs_tol, cfg.rel_tol)
+                  for a, b, wide in segments)
+    else:
+        val = checked_quad(fn, lo, hi, cfg.abs_tol, cfg.rel_tol, points=edges[1:-1] or None)
     if val < 0.0:
         raise QuadratureError(f"quadrature of a nonnegative integrand gave {val:.3e}",
                               residual=-val)
@@ -168,8 +174,8 @@ def graph_area(f: RadialProfile, L: LengthProfile,
     Integrates f(t) L(t) sqrt(f'(t)^2 + f(t)^2) over the profile domain.
     """
     def integrand(t):
-        v = f.eval(t)
-        return v * L(t) * math.hypot(f.deriv(t), v)
+        v, dv = f.eval(t)
+        return v * L(t) * math.hypot(dv, v)
 
     return _adaptive_quad(integrand, f.lo, min(f.hi, L.hi), cfg, points=f.breakpoints)
 
@@ -188,8 +194,8 @@ def s_functional(f: RadialProfile, space: ConeSpace,
     n, lam = space.n, space.lam
 
     def integrand(theta):
-        v = f.eval(theta)
-        return (math.hypot(f.deriv(theta), lam * v)
+        v, dv = f.eval(theta)
+        return (math.hypot(dv, lam * v)
                 * v ** (n - 1) * math.cos(theta) ** (n - 1))
 
     return _adaptive_quad(integrand, 0.0, half_pi, cfg, points=f.breakpoints)

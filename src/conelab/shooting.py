@@ -457,9 +457,9 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     Only trajectories that stay off the floor reconstruct a graph; beyond the
     recorded end the profile is continued by its final value (the derivative
     there is O(pad), which is below quadrature tolerance for the uses here).
-    Each f and f' evaluates ``dense`` at one theta, for pointwise use and
-    for checking ``flux_consistency``, which integrates the area on the
-    integrator's own steps instead.
+    Each (f, f') pair evaluates ``dense`` once at one theta, for pointwise
+    use and for checking ``flux_consistency``, which integrates the area on
+    the integrator's own steps instead.
     """
     dense = _graph_dense(outcome)
     lam = space.lam
@@ -467,18 +467,14 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     f_last = math.exp(float(outcome.log_fs[-1]))
     t_hi = dense.t_max
 
-    def f_eval(theta):
+    def jet(theta):
         if theta >= t_hi:
-            return f_last
-        return math.exp(float(dense(theta)[1]))
-
-    def f_deriv(theta):
-        if theta >= t_hi:
-            return 0.0
+            return f_last, 0.0
         H, logf = dense(theta)
-        return -lam * math.exp(float(logf)) / math.tan(float(H))
+        f = math.exp(float(logf))
+        return f, -lam * f / math.tan(float(H))
 
-    return RadialProfile(lo=0.0, hi=HALF_PI, eval=f_eval, deriv=f_deriv,
+    return RadialProfile(lo=0.0, hi=HALF_PI, eval=jet,
                          breakpoints=(min(t_last, HALF_PI - 1e-12),))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -6,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
@@ -131,6 +133,27 @@ class TestCatenoid:
     def test_underflowing_neck_raises(self, delta, alpha):
         with pytest.raises(NumericError):
             solve_catenoid(delta, alpha)
+
+    def test_one_solve_per_node(self, monkeypatch):
+        # f and f' come from one brentq solve per integrand node; the one
+        # more is the junction's own solve
+        solves, nodes = [0], [0]
+        brentq = scipy.optimize.brentq
+
+        def counted_brentq(*args, **kwargs):
+            solves[0] += 1
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
+        f = catenoid_profile(solve_catenoid(0.01, 0.5))
+        jet = f.eval
+
+        def counted_jet(t):
+            nodes[0] += 1
+            return jet(t)
+
+        graph_area(dataclasses.replace(f, eval=counted_jet), LengthProfile.round_sphere())
+        assert 0 < solves[0] <= nodes[0] + 1, (solves, nodes)
 
     def test_profile_endpoints(self):
         p = solve_catenoid(0.01, 0.5)
@@ -381,11 +404,15 @@ class TestExpArea:
         assert numeric <= 0.4999998 + 1e-9
 
     def test_matches_assembled_profile(self):
-        for n, lam, delta, alpha in [(2, 0.9, 0.001, 0.5), (3, 0.9, 0.01, 0.3)]:
+        # the small junctions put the tail's mass on a log scale in theta
+        for n, lam, delta, alpha in [(2, 0.9, 0.001, 0.5), (3, 0.9, 0.01, 0.3),
+                                     (2, 0.9, 1e-6, 0.5), (2, 0.9, 1e-9, 0.5),
+                                     (3, 0.9, 1e-6, 0.5), (3, 0.9, 1e-9, 0.5),
+                                     (6, 0.7, 1e-12, 0.5)]:
             space = ConeSpace(n, lam)
             direct = exp_profile_area(space, delta, alpha)
             via_functional = s_functional(exp_profile(space, delta, alpha), space)
-            assert direct == pytest.approx(via_functional, abs=1e-11)
+            assert direct == pytest.approx(via_functional, abs=1e-11), (n, lam, delta)
 
     def test_tail_at_tiny_junction(self):
         # the tail integrates the expm1 form of g', which stays finite where

@@ -61,6 +61,8 @@ def test_scans_and_cli_load_no_scipy_subpackage(tmp_path):
 import conelab
 from conelab import cli, competitors, phase
 from conelab.geometry import ConeSpace
+from conelab.profiles import LengthProfile
+LengthProfile.round_sphere()
 phase.emit(phase.scan([3], [0.8, 0.95]), "csv", "scan.csv")
 phase.decide(ConeSpace(3, 0.9))
 competitors.competitor_search(ConeSpace(3, 0.9))

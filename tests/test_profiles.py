@@ -20,7 +20,7 @@ class TestRadialProfile:
     def test_constant(self):
         f = RadialProfile.constant(2.0)
         assert f(0.3) == 2.0
-        assert f.deriv(0.3) == 0.0
+        assert f.eval(0.3)[1] == 0.0
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -28,14 +28,14 @@ class TestRadialProfile:
 
     def test_degenerate_domain(self):
         with pytest.raises(ValueError):
-            RadialProfile(lo=1.0, hi=1.0, eval=lambda x: 1.0, deriv=lambda x: 0.0)
+            RadialProfile(lo=1.0, hi=1.0, eval=lambda x: (1.0, 0.0))
 
     def test_from_samples_roundtrip(self):
         xs = np.linspace(0.0, HALF_PI, 40)
         fs = np.exp(-0.7 * xs)
         f = RadialProfile.from_samples(xs, fs)
         assert f(0.5) == pytest.approx(math.exp(-0.35), rel=1e-6)
-        assert f.deriv(0.5) == pytest.approx(-0.7 * math.exp(-0.35), rel=1e-4)
+        assert f.eval(0.5)[1] == pytest.approx(-0.7 * math.exp(-0.35), rel=1e-4)
 
     def test_from_samples_validation(self):
         with pytest.raises(ValueError):
@@ -44,18 +44,17 @@ class TestRadialProfile:
             RadialProfile.from_samples([0, 1, 2, 3], [1, -1, 1, 1])
 
     def test_piecewise_junction(self):
-        left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: 1.0 - x,
-                             deriv=lambda x: -1.0)
-        right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: 0.5 * math.exp(0.5 - x),
-                              deriv=lambda x: -0.5 * math.exp(0.5 - x))
+        left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: (1.0 - x, -1.0))
+        right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: (0.5 * math.exp(0.5 - x),
+                                                              -0.5 * math.exp(0.5 - x)))
         f = RadialProfile.piecewise([left, right])
         assert f.breakpoints == (0.5,)
         assert f(0.25) == 0.75
         assert f(0.75) == pytest.approx(0.5 * math.exp(-0.25))
 
     def test_piecewise_discontinuity_rejected(self):
-        left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: 1.0, deriv=lambda x: 0.0)
-        right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: 2.0, deriv=lambda x: 0.0)
+        left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: (1.0, 0.0))
+        right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: (2.0, 0.0))
         with pytest.raises(ValueError, match="discontinuous"):
             RadialProfile.piecewise([left, right])
 
@@ -86,8 +85,7 @@ class TestGraphArea:
         # differ by the constant L0
         space = ConeSpace(2, 1.0)
         f = RadialProfile(lo=0.0, hi=HALF_PI,
-                          eval=lambda t: math.exp(-0.4 * t),
-                          deriv=lambda t: -0.4 * math.exp(-0.4 * t))
+                          eval=lambda t: (math.exp(-0.4 * t), -0.4 * math.exp(-0.4 * t)))
         L = LengthProfile.round_sphere()
         assert graph_area(f, L) == pytest.approx(
             2 * math.pi * s_functional(f, space), rel=1e-8)
@@ -112,11 +110,10 @@ class TestSFunctional:
     def test_scaling_by_cn(self, c):
         space = ConeSpace(3, 0.8)
         base = RadialProfile(lo=0.0, hi=HALF_PI,
-                             eval=lambda t: math.exp(-0.3 * t),
-                             deriv=lambda t: -0.3 * math.exp(-0.3 * t))
+                             eval=lambda t: (math.exp(-0.3 * t), -0.3 * math.exp(-0.3 * t)))
         scaled = RadialProfile(lo=0.0, hi=HALF_PI,
-                               eval=lambda t: c * math.exp(-0.3 * t),
-                               deriv=lambda t: -c * 0.3 * math.exp(-0.3 * t))
+                               eval=lambda t: (c * math.exp(-0.3 * t),
+                                               -c * 0.3 * math.exp(-0.3 * t)))
         assert s_functional(scaled, space) == pytest.approx(
             c**space.n * s_functional(base, space), rel=1e-10)
 

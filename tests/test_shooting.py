@@ -525,7 +525,26 @@ class TestReconstruct:
 
         f = reconstruct_f(self._ceiling_outcome(Ceiling()), ConeSpace(3, 0.9))
         assert f(0.7) == pytest.approx(1.0, abs=1e-9)
-        assert f.deriv(0.7) == pytest.approx(0.0, abs=1e-15)
+        assert f.eval(0.7)[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_one_dense_call_per_node(self, monkeypatch):
+        # f and f' come from one dense call per integrand node, none past t_max
+        space = ConeSpace(3, 0.9)
+        f = reconstruct_f(find_extending_shots(space, count=1)[0][1], space)
+        calls, nodes = [0], [0]
+        path_call, jet = shooting._Path.__call__, f.eval
+
+        def counted_call(self, theta):
+            calls[0] += 1
+            return path_call(self, theta)
+
+        def counted_jet(theta):
+            nodes[0] += 1
+            return jet(theta)
+
+        monkeypatch.setattr(shooting._Path, "__call__", counted_call)
+        s_functional(dataclasses.replace(f, eval=counted_jet), space)
+        assert 0 < calls[0] <= nodes[0], (calls, nodes)
 
     def test_outcome_without_dense_rejected(self):
         with pytest.raises(ValueError, match="dense"):
