@@ -3,10 +3,11 @@
 Two families: a catenoid neck glued to an exponentially decaying disk for
 2-dimensional surfaces, and an exponential spindle glued to an integral
 profile for radial graphs in any dimension.  Each carries a closed-form area
-(or upper bound) plus a quadrature route; both tails take their exponent g
-from one quadrature in log t, ``_log_quad``.  Below the threshold one
-closed-form junction per lambda gives a competitor whose normalized area
-drops below 1/n.
+(or upper bound) plus a quadrature route.  The disk's tail exponent g is one
+quadrature in log t, ``_log_quad``; the spindle's is its exact log t leading
+term plus one quadrature of an analytic remainder in v = t^2 below
+theta = 0.3, ``_g_to_half_pi``.  Below the threshold one closed-form junction
+per lambda gives a competitor whose normalized area drops below 1/n.
 """
 
 from __future__ import annotations
@@ -138,18 +139,10 @@ def catenoid_area_closed_form(params: CatenoidParams, L0: float) -> float:
                        * math.cos(delta + math.asin(arg)))
 
 
-def _log_quad(fn, lo: float, hi: float, tol: float, lead: float = 0.0) -> float:
-    """Integral of fn(t) from lo to hi (0 < lo <= hi), taken in tau = log t.
-
-    lead, the limit of t fn(t) as t -> 0, integrates exactly; quad takes the
-    rest, which must then decay like t^2 and is lost in rounding below tau = -40
-    (hi lies above that).
-    """
-    lo_tau, hi_tau = math.log(lo), math.log(hi)
-    rem_lo = max(lo_tau, -40.0) if lead else lo_tau
-    rem = checked_quad(lambda tau: math.exp(tau) * fn(math.exp(tau)) - lead,
-                       rem_lo, hi_tau, tol, tol)
-    return (hi_tau - lo_tau) * lead + rem
+def _log_quad(fn, lo: float, hi: float, tol: float) -> float:
+    """Integral of fn(t) from lo to hi (0 < lo <= hi), taken in tau = log t."""
+    return checked_quad(lambda tau: math.exp(tau) * fn(math.exp(tau)),
+                        math.log(lo), math.log(hi), tol, tol)
 
 
 def disk_profile(delta: float, alpha: float, L: LengthProfile,
@@ -276,7 +269,14 @@ def _log_sec(t: float) -> float:
 
 
 def _g_integrand(t: float, n: int) -> float:
-    """g'(t) = 1/sqrt(cos^(2-2n)t - 1) of the competitor's tail exponent."""
+    """g'(t) = 1/sqrt(cos^(2-2n)t - 1) of the competitor's tail exponent.
+
+    Where (n-1) t^2 is below machine epsilon it is the leading term
+    1/(t sqrt(n-1)), whose relative error (3n-2) t^2/12 is below eps/3 there;
+    sin^2(t/2) in ``_log_sec`` turns subnormal below t ~ 3e-154.
+    """
+    if (n - 1) * t * t < sys.float_info.epsilon:
+        return 1.0 / (t * math.sqrt(n - 1.0))
     # cos^(2-2n)t - 1 = expm1(a), a = (2n-2) log sec t, via expm1 so tiny t
     # does not round cos t to 1; past a = 40, e^-a is below half an ulp of 1,
     # so g' = e^(-a/2) / sqrt(1 - e^-a) is e^(-a/2), where expm1(a) would
@@ -289,6 +289,7 @@ def _g_integrand(t: float, n: int) -> float:
 # tail integral splits there, so every witness's junction lies at or below it
 _DELTA_CAP = 0.3
 _LOG_DELTA_CAP = math.log(_DELTA_CAP)
+_V_CAP = _DELTA_CAP * _DELTA_CAP
 
 
 @functools.cache
@@ -300,11 +301,19 @@ def _g_cap_to_half_pi(n: int, tol: float) -> float:
 def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
     """Integral of _g_integrand from delta to pi/2.
 
-    Split at s = _DELTA_CAP.  For delta <= s it is the integral from delta
-    to s, taken in tau = log t by ``_log_quad``, plus the integral from s
-    to pi/2, which depends on n and tol alone and is computed once per
-    (n, tol).  For delta > s it is one direct quad.  n = 2 has the closed
-    form -log sin(delta).
+    Split at s = _DELTA_CAP.  The integral from s to pi/2 depends on n and
+    tol alone and is computed once per (n, tol).  Below s, sec^(2n-2) t is
+    even and analytic with series 1 + (n-1) t^2 + O(t^4), so
+    sec^(2n-2) t - 1 = (n-1) t^2 E(t^2) with E analytic, E(0) = 1 and E > 0
+    on [0, s^2].  Then t g'(t) = lead / sqrt(E(t^2)), lead = 1/sqrt(n-1), is
+    analytic in v = t^2, and
+
+        int_delta^s g' dt = lead log(s/delta) + int_{delta^2}^{s^2} (t g'(t) - lead)/(2v) dv
+
+    with t = sqrt(v).  The v-integrand is smooth and bounded on [0, s^2],
+    so any delta <= s costs one quad over about the same interval (21 nodes
+    up to n ~ 100); a delta^2 that underflows is a lower limit of 0.  For
+    delta > s it is one direct quad.  n = 2 has the closed form -log sin(delta).
     """
     n = space.n
     if n == 2:
@@ -312,9 +321,17 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
         return -math.log(math.sin(delta))
     if delta > _DELTA_CAP:
         return checked_quad(_g_integrand, delta, HALF_PI, tol, tol, args=(n,))
-    # g'(t) = 1/(t sqrt(n-1)) + O(t) near zero: the lead 1/sqrt(n-1) of t g'(t)
-    return (_log_quad(lambda t: _g_integrand(t, n), delta, _DELTA_CAP, tol,
-                      lead=1.0 / math.sqrt(n - 1.0))
+    lead, v_lo = 1.0 / math.sqrt(n - 1.0), delta * delta
+
+    def remainder(v):
+        t = math.sqrt(v)
+        return (t * _g_integrand(t, n) - lead) / (2.0 * v)
+
+    # log(s/delta) = log(s^2/v_lo)/2 from the quad's own lower limit: near the
+    # cap the two terms cancel, and s^2 - v_lo is exact there
+    log_ratio = (0.5 * math.log1p((_V_CAP - v_lo) / v_lo) if 2.0 * v_lo > _V_CAP
+                 else _LOG_DELTA_CAP - math.log(delta))
+    return (log_ratio * lead + checked_quad(remainder, v_lo, _V_CAP, tol, tol)
             + _g_cap_to_half_pi(n, tol))
 
 
@@ -346,12 +363,12 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
 
     The head is integrated in the scaled variable u = theta/delta so tiny
     junction angles stay well conditioned; the tail telescopes exactly to
-    (alpha^n - f(pi/2)^n)/n once g(pi/2) is known.  g(pi/2) splits at
-    delta = 0.3, the cap on the search's junctions: the part above it is a
-    constant of n, integrated once per n, so a junction below the cap costs
-    one tail quad, in log theta up to 0.3 (see ``_g_to_half_pi``).
+    (alpha^n - f(pi/2)^n)/n = -alpha^n expm1(-n lam g(pi/2))/n.  g(pi/2)
+    splits at delta = 0.3, the cap on the search's junctions: the part above
+    it is a constant of n, integrated once per n, so a junction below the
+    cap costs one tail quad, in v = theta^2 up to 0.09 (see ``_g_to_half_pi``).
     """
-    comp = ExpCompetitor(space=space, delta=delta, alpha=alpha)
+    ExpCompetitor(space=space, delta=delta, alpha=alpha)   # validates the junction
     n, lam = space.n, space.lam
     log_alpha = math.log(alpha)
 
@@ -362,9 +379,8 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
 
     head_val = checked_quad(head, 0.0, 1.0, cfg.abs_tol, cfg.rel_tol)
     g_end = _g_to_half_pi(space, delta, tol=min(cfg.abs_tol, 1e-12))
-    exponent = -n * lam * g_end
-    f_end_n = comp.alpha**n * (math.exp(exponent) if exponent > -700.0 else 0.0)
-    tail_val = (alpha**n - f_end_n) / n
+    # alpha^n - f_end^n = -alpha^n expm1(-n lam g_end), exact as g_end -> 0
+    tail_val = -alpha**n * math.expm1(-n * lam * g_end) / n
     return scale * head_val + tail_val
 
 

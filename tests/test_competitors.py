@@ -404,11 +404,14 @@ class TestExpArea:
         assert numeric <= 0.4999998 + 1e-9
 
     def test_matches_assembled_profile(self):
-        # the small junctions put the tail's mass on a log scale in theta
+        # the small junctions put the tail's mass on a log scale in theta;
+        # below t ~ 3e-154, sin^2(t/2) in g' is subnormal
+        below_subnormal = [(n, lam, delta, 0.5) for n, lam in ((3, 0.9), (6, 0.7))
+                           for delta in (1e-160, 1e-200, 1e-300)]
         for n, lam, delta, alpha in [(2, 0.9, 0.001, 0.5), (3, 0.9, 0.01, 0.3),
                                      (2, 0.9, 1e-6, 0.5), (2, 0.9, 1e-9, 0.5),
                                      (3, 0.9, 1e-6, 0.5), (3, 0.9, 1e-9, 0.5),
-                                     (6, 0.7, 1e-12, 0.5)]:
+                                     (6, 0.7, 1e-12, 0.5)] + below_subnormal:
             space = ConeSpace(n, lam)
             direct = exp_profile_area(space, delta, alpha)
             via_functional = s_functional(exp_profile(space, delta, alpha), space)
@@ -464,9 +467,12 @@ class TestExpArea:
         # both sides of the split at _DELTA_CAP, against 60 digits summed
         # from pi/2 down over the deltas, in tau = log t below t = 1; expm1
         # keeps cos^(2-2n) t - 1 from rounding to 0 at tiny t; degree 5 of
-        # tanh-sinh keeps each piece's error estimate far below 1e-30
-        deltas = (1.0, _DELTA_CAP, _DELTA_CAP * (1 - 1e-12), 1e-3, 1e-6, 1e-12, 1e-300)
-        for n in (3, 4, 6, 10, 30):
+        # tanh-sinh keeps each piece's error estimate far below 1e-30.  At
+        # n = 100, g from 1.0 is about 2e-29, below what a 1e-12 absolute
+        # tolerance resolves, so only the deltas up to the cap are compared
+        deltas = (1.0, _DELTA_CAP, _DELTA_CAP * (1 - 1e-12), 0.2, 0.05, 1e-3, 1e-6, 1e-12,
+                  1e-300)
+        for n in (3, 4, 6, 10, 30, 100):
             space = ConeSpace(n, 0.5)
             with mpmath.workdps(60):
                 def dg(t):
@@ -486,7 +492,9 @@ class TestExpArea:
                                                  error=True, maxdegree=5)
                     assert err < 1e-30
                     exact, hi = exact + piece, lo
-                    assert abs(_g_to_half_pi(space, delta) - exact) <= 1e-14 * exact, (n, delta)
+                    if n < 100 or delta <= _DELTA_CAP:
+                        assert abs(_g_to_half_pi(space, delta) - exact) <= 1e-14 * exact, \
+                            (n, delta)
 
     def test_tail_above_cap_integrated_once_per_n(self, monkeypatch):
         # after the first area at n = 4, a second junction below the cap
@@ -510,6 +518,31 @@ class TestExpArea:
         competitors._g_cap_to_half_pi.cache_clear()
         assert exp_profile_area(space, 1e-5, 0.5) == first
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [3, 6, 30])
+    def test_tail_below_cap_is_one_21_node_quad(self, n, monkeypatch):
+        # in v = t^2 the remainder below the cap is analytic on [0, 0.09]:
+        # one Gauss-Kronrod rule, whatever the junction
+        space = ConeSpace(n, 0.5)
+        _g_to_half_pi(space, 1e-3)     # caches the cap-to-pi/2 constant
+        quads, nodes = [], []
+        quad, integrand = scipy.integrate.quad, competitors._g_integrand
+
+        def counting_quad(*args, **kwargs):
+            quads.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        def counting_integrand(t, n):
+            nodes.append(t)
+            return integrand(t, n)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        monkeypatch.setattr(competitors, "_g_integrand", counting_integrand)
+        for delta in (1e-3, 1e-6, 1e-12, 1e-300):
+            quads.clear()
+            nodes.clear()
+            _g_to_half_pi(space, delta)
+            assert len(quads) == 1 and len(nodes) == 21, (delta, len(quads), len(nodes))
 
     def test_junction_continuity(self):
         f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)
