@@ -19,8 +19,8 @@ from .geometry import (ConeSpace, CrossSectionCurvature, ExactCone,
                        RevolutionSurface, cone_ricci, cone_sectional,
                        density_ratio, equator_cone, hyperplane, sphere_area,
                        threshold_discriminant, unit_ball_volume)
-from .profiles import (LengthProfile, QuadratureConfig, RadialProfile,
-                       graph_area, read_profile, s_functional, write_profile)
+from .profiles import (LengthProfile, RadialProfile, graph_area, read_profile,
+                       s_functional, write_profile)
 from .phase import (Certificate, Decision, ScanRecord, Verdict, decide,
                     emit, empirical_threshold, parse_csv, scan, threshold)
 from .shooting import (BarrierCertificate, OutcomeKind, ShootConfig,

@@ -122,6 +122,8 @@ def _cmd_shoot(args) -> int:
     outcome = shooting.shoot(space, args.h0, cfg)
     print(f"outcome: {outcome.kind.value}")
     print(f"steps: {outcome.steps} accepted, {outcome.rejected} rejected")
+    if outcome.diagnostics:
+        print(f"diagnostics: {outcome.diagnostics}")
     if outcome.theta_exit is not None:
         print(f"theta_exit: {outcome.theta_exit:.12g}")
     if outcome.f_end is not None:

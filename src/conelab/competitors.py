@@ -21,12 +21,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy
 
-from .errors import NumericError, checked_quad
+from .errors import AREA_TOL, NumericError, checked_quad
 from .geometry import ConeSpace, threshold_discriminant
-from .profiles import LengthProfile, QuadratureConfig, RadialProfile
+from .profiles import LengthProfile, RadialProfile
 
 HALF_PI = math.pi / 2.0
 _RESIDUAL_TOL = 1e-12
+# abs_tol and rel_tol of the tail exponents' quadratures: the disk's g, the spindle's g(pi/2)
+_TAIL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +141,13 @@ def catenoid_area_closed_form(params: CatenoidParams, L0: float) -> float:
                        * math.cos(delta + math.asin(arg)))
 
 
-def _log_quad(fn, lo: float, hi: float, tol: float) -> float:
+def _log_quad(fn, lo: float, hi: float) -> float:
     """Integral of fn(t) from lo to hi (0 < lo <= hi), taken in tau = log t."""
     return checked_quad(lambda tau: math.exp(tau) * fn(math.exp(tau)),
-                        math.log(lo), math.log(hi), tol, tol)
+                        math.log(lo), math.log(hi), _TAIL_TOL, _TAIL_TOL)
 
 
-def disk_profile(delta: float, alpha: float, L: LengthProfile,
-                 tol: float = 1e-12):
+def disk_profile(delta: float, alpha: float, L: LengthProfile):
     """Exponential-profile disk r = alpha * exp(-g(t)) on t >= delta.
 
     g integrates L / sqrt((L0 - L)(L0 + L)) from delta in log t, L0 - L the
@@ -163,7 +164,7 @@ def disk_profile(delta: float, alpha: float, L: LengthProfile,
         return (L0 - d) / math.sqrt(d * (2.0 * L0 - d))
 
     def g(t):
-        return _log_quad(dg, delta, min(t, hi), tol)
+        return _log_quad(dg, delta, min(t, hi))
 
     # alpha^2 - f_end^2 = -alpha^2 expm1(-2 g_end)
     area = -0.5 * L0 * alpha**2 * math.expm1(-2.0 * g(hi))
@@ -293,16 +294,16 @@ _V_CAP = _DELTA_CAP * _DELTA_CAP
 
 
 @functools.cache
-def _g_cap_to_half_pi(n: int, tol: float) -> float:
-    """Integral of _g_integrand from _DELTA_CAP to pi/2: a constant of (n, tol)."""
-    return checked_quad(_g_integrand, _DELTA_CAP, HALF_PI, tol, tol, args=(n,))
+def _g_cap_to_half_pi(n: int) -> float:
+    """Integral of _g_integrand from _DELTA_CAP to pi/2: a constant of n."""
+    return checked_quad(_g_integrand, _DELTA_CAP, HALF_PI, _TAIL_TOL, _TAIL_TOL, args=(n,))
 
 
-def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
+def _g_to_half_pi(space: ConeSpace, delta: float) -> float:
     """Integral of _g_integrand from delta to pi/2.
 
-    Split at s = _DELTA_CAP.  The integral from s to pi/2 depends on n and
-    tol alone and is computed once per (n, tol).  Below s, sec^(2n-2) t is
+    Split at s = _DELTA_CAP.  The integral from s to pi/2 depends on n
+    alone and is computed once per n.  Below s, sec^(2n-2) t is
     even and analytic with series 1 + (n-1) t^2 + O(t^4), so
     sec^(2n-2) t - 1 = (n-1) t^2 E(t^2) with E analytic, E(0) = 1 and E > 0
     on [0, s^2].  Then t g'(t) = lead / sqrt(E(t^2)), lead = 1/sqrt(n-1), is
@@ -320,7 +321,7 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
         # integrand is exactly cot(t)
         return -math.log(math.sin(delta))
     if delta > _DELTA_CAP:
-        return checked_quad(_g_integrand, delta, HALF_PI, tol, tol, args=(n,))
+        return checked_quad(_g_integrand, delta, HALF_PI, _TAIL_TOL, _TAIL_TOL, args=(n,))
     lead, v_lo = 1.0 / math.sqrt(n - 1.0), delta * delta
 
     def remainder(v):
@@ -331,16 +332,19 @@ def _g_to_half_pi(space: ConeSpace, delta: float, tol: float = 1e-12) -> float:
     # cap the two terms cancel, and s^2 - v_lo is exact there
     log_ratio = (0.5 * math.log1p((_V_CAP - v_lo) / v_lo) if 2.0 * v_lo > _V_CAP
                  else _LOG_DELTA_CAP - math.log(delta))
-    return (log_ratio * lead + checked_quad(remainder, v_lo, _V_CAP, tol, tol)
-            + _g_cap_to_half_pi(n, tol))
+    return (log_ratio * lead + checked_quad(remainder, v_lo, _V_CAP, _TAIL_TOL, _TAIL_TOL)
+            + _g_cap_to_half_pi(n))
 
 
 def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
     """The assembled piecewise competitor profile on [0, pi/2].
 
-    The tail's g(theta) is G(delta) - G(theta), G = ``_g_to_half_pi``.
+    The tail's g(theta) is G(delta) - G(theta), G = ``_g_to_half_pi``.  A
+    junction so small that mu = -log(alpha)/delta overflows raises ``ValueError``.
     """
     mu = ExpCompetitor(space=space, delta=delta, alpha=alpha).mu
+    if math.isinf(mu):
+        raise ValueError(f"mu = -log(alpha)/delta overflows at (delta, alpha) = {(delta, alpha)}")
     n, lam = space.n, space.lam
 
     def head_jet(th):
@@ -357,8 +361,7 @@ def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
                                     RadialProfile(lo=delta, hi=HALF_PI, eval=tail_jet)])
 
 
-def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
-                     cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def exp_profile_area(space: ConeSpace, delta: float, alpha: float) -> float:
     """Normalized area of the assembled competitor, by quadrature.
 
     The head is integrated in the scaled variable u = theta/delta so tiny
@@ -377,8 +380,8 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float,
     def head(u):
         return alpha ** (n * u) * math.cos(delta * u) ** (n - 1)
 
-    head_val = checked_quad(head, 0.0, 1.0, cfg.abs_tol, cfg.rel_tol)
-    g_end = _g_to_half_pi(space, delta, tol=min(cfg.abs_tol, 1e-12))
+    head_val = checked_quad(head, 0.0, 1.0, AREA_TOL, AREA_TOL)
+    g_end = _g_to_half_pi(space, delta)
     # alpha^n - f_end^n = -alpha^n expm1(-n lam g_end), exact as g_end -> 0
     tail_val = -alpha**n * math.expm1(-n * lam * g_end) / n
     return scale * head_val + tail_val

@@ -2,6 +2,9 @@
 
 import scipy
 
+# abs_tol and rel_tol of every area quadrature; the flux oracle's mesh area raises past it
+AREA_TOL = 1e-10
+
 
 class NumericError(RuntimeError):
     """A numerical routine failed to converge.
@@ -18,13 +21,13 @@ class QuadratureError(NumericError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
 
-def checked_quad(fn, lo, hi, abs_tol, rel_tol, points=None, args=()) -> float:
+def checked_quad(fn, lo, hi, abs_tol, rel_tol, args=()) -> float:
     """scipy's quad of fn over [lo, hi]: the package's one quadrature call.
 
     Raises ``QuadratureError`` if its error exceeds 100 max(abs_tol, rel_tol |value|).
     """
-    val, err = scipy.integrate.quad(fn, lo, hi, args=args, points=points, epsabs=abs_tol,
-                                    epsrel=rel_tol, limit=240)
+    val, err = scipy.integrate.quad(fn, lo, hi, args=args, epsabs=abs_tol, epsrel=rel_tol,
+                                    limit=240)
     if err > 100.0 * max(abs_tol, rel_tol * abs(val)):
         raise QuadratureError(f"quadrature residual {err:.3e} exceeds tolerance", residual=err)
     return val

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .errors import checked_quad
+from .errors import AREA_TOL, checked_quad
 
 TANGENTIAL = "tangential"
 RADIAL = "radial"
@@ -158,11 +158,10 @@ class RevolutionSurface:
     dim = 2
 
     def __init__(self, rho: Callable[[float], float], drho: Callable[[float], float],
-                 z_max: float, tol: float = 1e-10):
+                 z_max: float):
         self.rho = rho
         self.drho = drho
         self.z_max = z_max
-        self.tol = tol
 
     @classmethod
     def catenoid(cls, neck: float = 1.0, z_max: float = 50.0) -> "RevolutionSurface":
@@ -186,7 +185,7 @@ class RevolutionSurface:
             return 0.0
         zc = self._z_cut(r)
         integrand = lambda z: 2.0 * math.pi * self.rho(z) * math.hypot(1.0, self.drho(z))
-        return checked_quad(integrand, -zc, zc, self.tol, self.tol)
+        return checked_quad(integrand, -zc, zc, AREA_TOL, AREA_TOL)
 
     def density_ratio(self, r: float) -> float:
         return self.area_in_ball(r) / r**self.dim

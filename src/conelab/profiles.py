@@ -3,8 +3,8 @@
 Two area functionals are provided: the graph-over-cross-section area of a
 2-dimensional surface of revolution in a 3-dimensional cone, and the
 normalized area of a radial graph over the polar angle in the cone over
-``S^n(lambda)``.  Both are evaluated by adaptive quadrature that splits at
-declared profile breakpoints.
+``S^n(lambda)``.  Both sum one checked quadrature per segment between the
+profile's declared breakpoints, to the package's area tolerance.
 """
 
 from __future__ import annotations
@@ -17,22 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy
 
-from .errors import QuadratureError, checked_quad
+from .errors import AREA_TOL, QuadratureError, checked_quad
 from .geometry import ConeSpace
 
 _CONTINUITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances: ``checked_quad`` raises past 100 times them, the flux mesh area past them."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("quadrature tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,33 +130,28 @@ class LengthProfile:
         return cls(deficit=lambda t: L0 - max(float(spline(t)), 0.0), L0=L0, hi=float(ts[-1]))
 
 
-def _adaptive_quad(fn, lo, hi, cfg: QuadratureConfig, points=()):
-    """``checked_quad`` of a nonnegative fn; a value below 0 raises ``QuadratureError``.
+def _adaptive_quad(fn, lo, hi, points=()):
+    """Sum of ``checked_quad`` of a nonnegative fn over the segments between the points.
 
-    A segment [a, b] between the points with a > 0 and b > 10 a spans decades,
-    and a profile's mass may sit near a.  If one does, each segment is
-    integrated on its own, the wide ones in tau = log theta.
+    A segment [a, b] with a > 0 and b > 10 a spans decades, and a profile's
+    mass may sit near a, so it is integrated in tau = log theta.  A sum below
+    0 raises ``QuadratureError``.
     """
     edges = [lo, *sorted(p for p in points if lo < p < hi), hi]
-    segments = [(a, b, a > 0.0 and b > 10.0 * a) for a, b in zip(edges, edges[1:])]
 
     def in_tau(tau):
         return math.exp(tau) * fn(math.exp(tau))
 
-    if any(wide for _, _, wide in segments):
-        val = sum(checked_quad(in_tau, math.log(a), math.log(b), cfg.abs_tol, cfg.rel_tol)
-                  if wide else checked_quad(fn, a, b, cfg.abs_tol, cfg.rel_tol)
-                  for a, b, wide in segments)
-    else:
-        val = checked_quad(fn, lo, hi, cfg.abs_tol, cfg.rel_tol, points=edges[1:-1] or None)
+    val = sum(checked_quad(in_tau, math.log(a), math.log(b), AREA_TOL, AREA_TOL)
+              if a > 0.0 and b > 10.0 * a else checked_quad(fn, a, b, AREA_TOL, AREA_TOL)
+              for a, b in zip(edges, edges[1:]))
     if val < 0.0:
         raise QuadratureError(f"quadrature of a nonnegative integrand gave {val:.3e}",
                               residual=-val)
     return val
 
 
-def graph_area(f: RadialProfile, L: LengthProfile,
-               cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def graph_area(f: RadialProfile, L: LengthProfile) -> float:
     """Area of the surface of revolution r = f(t) in a 3-dimensional cone.
 
     Integrates f(t) L(t) sqrt(f'(t)^2 + f(t)^2) over the profile domain.
@@ -177,11 +160,10 @@ def graph_area(f: RadialProfile, L: LengthProfile,
         v, dv = f.eval(t)
         return v * L(t) * math.hypot(dv, v)
 
-    return _adaptive_quad(integrand, f.lo, min(f.hi, L.hi), cfg, points=f.breakpoints)
+    return _adaptive_quad(integrand, f.lo, min(f.hi, L.hi), points=f.breakpoints)
 
 
-def s_functional(f: RadialProfile, space: ConeSpace,
-                 cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def s_functional(f: RadialProfile, space: ConeSpace) -> float:
     """Normalized area of the radial graph r = f(theta) over the polar angle.
 
     Integrates sqrt(f'^2 + lam^2 f^2) f^(n-1) cos^(n-1)(theta) on [0, pi/2].
@@ -198,7 +180,7 @@ def s_functional(f: RadialProfile, space: ConeSpace,
         return (math.hypot(dv, lam * v)
                 * v ** (n - 1) * math.cos(theta) ** (n - 1))
 
-    return _adaptive_quad(integrand, 0.0, half_pi, cfg, points=f.breakpoints)
+    return _adaptive_quad(integrand, 0.0, half_pi, points=f.breakpoints)
 
 
 def read_profile(path) -> RadialProfile:

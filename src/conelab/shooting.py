@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from .errors import NumericError, QuadratureError
+from .errors import AREA_TOL, NumericError, QuadratureError
 from .geometry import ConeSpace, threshold_discriminant
-from .profiles import QuadratureConfig, RadialProfile
+from .profiles import RadialProfile
 # not called here since flux_consistency integrates the mesh itself; kept as a
 # module attribute for callers that patch through this module
 from .profiles import s_functional  # noqa: F401
@@ -39,19 +39,17 @@ class OutcomeKind(Enum):
     STALLED_NUMERIC = "StalledNumeric"
 
 
+H_FLOOR = 1e-9      # a floor exit at H <= H_FLOOR, a ceiling exit at H >= pi/2 - H_FLOOR
+H_SWITCH = 1e-4     # swap the independent variable below this H
+THETA_PAD = 1e-6    # a forward shot integrates up to pi/2 - THETA_PAD
+
+
 @dataclass(frozen=True)
 class ShootConfig:
-    h_floor: float = 1e-9       # H at or below this counts as a floor exit
-    h_switch: float = 1e-4      # swap independent variable below this H
-    theta_pad: float = 1e-6     # integrate up to pi/2 - theta_pad
+    """The integrator's error tolerances."""
+
     rtol: float = 1e-10
     atol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.h_floor < self.h_switch < HALF_PI:
-            raise ValueError("need 0 < h_floor < h_switch < pi/2")
-        if not 0.0 < self.theta_pad < 0.1:
-            raise ValueError("theta_pad must be in (0, 0.1)")
 
 
 @dataclass(frozen=True)
@@ -354,7 +352,7 @@ def _theta_rhs(space: ConeSpace):
 
 def _floor_tail(space: ConeSpace, theta_e: float, H_e: float, logf_e: float,
                 cfg: ShootConfig) -> _Path:
-    """Integrate (theta, log f) as functions of H from H_e down to the floor."""
+    """Integrate (theta, log f) as functions of H from H_e down to the floor, if above it."""
     nl, nm1, lam = space.n * space.lam, space.n - 1, space.lam
 
     def rhs(H, theta):
@@ -362,36 +360,41 @@ def _floor_tail(space: ConeSpace, theta_e: float, H_e: float, logf_e: float,
         slope = nl - nm1 * math.tan(theta) / tan_H
         return 1.0 / slope, -lam / tan_H / slope
 
-    return _dopri(rhs, H_e, theta_e, logf_e, cfg.h_floor, cfg.rtol, cfg.atol)
+    return _dopri(rhs, H_e, theta_e, logf_e, min(H_e, H_FLOOR), cfg.rtol, cfg.atol)
 
 
 def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> ShootingOutcome:
     """Integrate the angle ODE from theta = 0 until an exit or theta = pi/2.
 
     Near the floor the right-hand side blows up, so once H falls through the
-    switch level (``h_switch``, or H0/2 if lower) the roles of theta and H
-    are swapped and the tail is integrated in H.
+    switch level (``H_SWITCH``, or H0/2 if lower, but never below
+    ``H_FLOOR``) the roles of theta and H are swapped and the tail is
+    integrated in H down to ``H_FLOOR``.  A start at or below ``H_FLOOR``
+    is a floor exit at theta = 0, as one at or above pi/2 - ``H_FLOOR`` is
+    a ceiling exit there.
     """
     if not 0.0 < H0 <= HALF_PI:
         raise ValueError(f"H0 must lie in (0, pi/2], got {H0}")
     nl, nm1 = space.n * space.lam, space.n - 1
-    ceiling = HALF_PI - cfg.h_floor
+    ceiling = HALF_PI - H_FLOOR
 
-    if H0 >= ceiling:
-        # H'(0) = n*lam > 0 pushes the trajectory straight out of the box.
-        return ShootingOutcome(kind=OutcomeKind.EXITS_AT_CEILING,
-                               thetas=np.array([0.0]), Hs=np.array([H0]),
+    if H0 <= H_FLOOR or H0 >= ceiling:
+        # the start is already on the floor, or H'(0) = n*lam > 0 pushes the
+        # trajectory straight out through the ceiling
+        kind = OutcomeKind.EXITS_AT_FLOOR if H0 <= H_FLOOR else OutcomeKind.EXITS_AT_CEILING
+        return ShootingOutcome(kind=kind, thetas=np.array([0.0]), Hs=np.array([H0]),
                                log_fs=np.array([0.0]), theta_exit=0.0)
 
     rhs = _theta_rhs(space)
 
     # Once H' <= 0, H'' = (n-1) (tan(theta) H' / sin^2 H - cot H / cos^2 theta)
     # < 0: a falling trajectory keeps falling ever faster, so crossing the
-    # switch downward is a floor exit, and a steep one.  Crossing at a slope
-    # in [-1e-3, 0) would take a fall of at least `switch` (from a peak above
-    # H0 >= 2 switch), so theta >= 1000 switch there, which makes
-    # H' <= n lam - (n-1) theta / tan(switch) < -900.
-    switch = min(cfg.h_switch, H0 / 2.0)
+    # switch downward is a floor exit.  The switch lies in [H_FLOOR, H0), so
+    # the tail runs down.  Where it is min(H_SWITCH, H0/2) the crossing is
+    # steep: at a slope in [-1e-3, 0) it would take a fall of at least `switch`
+    # (from a peak above H0 >= 2 switch), so theta >= 1000 switch there, which
+    # makes H' <= n lam - (n-1) theta / tan(switch) < -900.
+    switch = max(min(H_SWITCH, H0 / 2.0), H_FLOOR)
     exit_kind = None
 
     def watch(path):
@@ -406,7 +409,7 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
         path.cut(path.crossing(level))
         return True
 
-    theta_end = HALF_PI - cfg.theta_pad
+    theta_end = HALF_PI - THETA_PAD
     path = _dopri(rhs, 0.0, H0, 0.0, theta_end, cfg.rtol, cfg.atol, watch)
     te, He, logfe = path.ts[-1], path.ys[-1], path.zs[-1]
     if path.failed:
@@ -430,11 +433,14 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
 
 def _finish(kind, path: _Path, tail: Optional[_Path] = None, theta_exit=None,
             f_end=None, diagnostics=""):
-    """Outcome from the theta-phase path and, after a floor exit, the H-phase tail."""
+    """Outcome from the theta-phase path and, after a floor exit, the H-phase tail's nodes.
+
+    The tail's first node is the path's last, so it is left out.
+    """
     thetas, Hs, logfs = path.ts, path.ys, path.zs
     steps, rejected = path.steps, path.rejected
     if tail is not None:
-        thetas, Hs, logfs = thetas + tail.ys, Hs + tail.ts, logfs + tail.zs
+        thetas, Hs, logfs = thetas + tail.ys[1:], Hs + tail.ts[1:], logfs + tail.zs[1:]
         steps, rejected = steps + tail.steps, rejected + tail.rejected
     return ShootingOutcome(kind=kind, thetas=np.array(thetas), Hs=np.array(Hs),
                            log_fs=np.array(logfs), theta_exit=theta_exit,
@@ -486,7 +492,7 @@ _H0_AGREEMENT = 1e-9
 def _shoot_back(space: ConeSpace, u0: float, cfg: ShootConfig):
     """(H0, outcome) of one shot from theta = pi/2 - u0 on w = lam*u back to 0."""
     def watch(path):
-        return path.ys[-1] <= cfg.h_floor
+        return path.ys[-1] <= H_FLOOR
 
     theta_top = HALF_PI - u0
     path = _dopri(_theta_rhs(space), theta_top, HALF_PI - space.lam * u0, 0.0, 0.0,
@@ -515,17 +521,17 @@ def find_extending_shots(space: ConeSpace, count: int = 3,
     extending window in H0 is narrower than one ulp for n >= 4; shooting
     backward, the C term decays, so a shot started on w = lam*u at u0 lands
     on the separatrix and reads its H0 off at theta = 0.  Returns ``count``
-    pairs (H0, outcome), from u0 = theta_pad * 10^-k for k = 0..count-1,
+    pairs (H0, outcome), from u0 = ``THETA_PAD`` * 10^-k for k = 0..count-1,
     with f(0) = 1; [] where the exact D >= 0, since the barrier line then
     proves that no graph extends.  Raises ``NumericError`` when a shot
-    stalls or reaches the floor (``h_floor``), or when the radii disagree on
+    stalls or reaches the floor (``H_FLOOR``), or when the radii disagree on
     H0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if threshold_discriminant(space.n, [space.lam])[0] >= 0.0:
         return []
-    hits = [_shoot_back(space, cfg.theta_pad * 10.0 ** -k, cfg) for k in range(count)]
+    hits = [_shoot_back(space, THETA_PAD * 10.0 ** -k, cfg) for k in range(count)]
     H0 = hits[0][0]
     spread = max(abs(h - H0) for h, _ in hits)
     if spread > _H0_AGREEMENT * H0:
@@ -548,8 +554,7 @@ _WEIGHTS[:4, 0] = [w / 2.0 for _, w in _G4]
 _WEIGHTS[4:, 1] = [w / 2.0 for _, w in _G5]
 
 
-def _mesh_area(space: ConeSpace, path: _Path, logf_last: float,
-               cfg: QuadratureConfig) -> float:
+def _mesh_area(space: ConeSpace, path: _Path, logf_last: float) -> float:
     """Normalized area of the profile on the accepted steps of ``path``.
 
     With f' = -lam f cot H the integrand sqrt(f'^2 + lam^2 f^2) f^(n-1)
@@ -559,7 +564,7 @@ def _mesh_area(space: ConeSpace, path: _Path, logf_last: float,
     integral of cos^(n-1) over [t_max, pi/2] = [0, u] of sin^(n-1) is
     B(sin^2 u; n/2, 1/2) / 2, an incomplete beta function.  Raises
     ``QuadratureError`` when the 4- and 5-node sums differ, step by step, by
-    more than the tolerance in total.
+    more than max(``AREA_TOL``, ``AREA_TOL`` * area) in total.
     """
     m = len(path.stages)
     stages = np.fromiter(chain.from_iterable(path.stages), float, 16 * m).reshape(m, 16)
@@ -574,23 +579,22 @@ def _mesh_area(space: ConeSpace, path: _Path, logf_last: float,
             * scipy.special.betainc(a, 0.5, math.sin(HALF_PI - path.t_max) ** 2) / 2.0)
     area = space.lam * (float(sums[:, 1].sum()) + tail)
     residual = space.lam * float(np.abs(sums[:, 1] - sums[:, 0]).sum())
-    if residual > max(cfg.abs_tol, cfg.rel_tol * area):
+    if residual > max(AREA_TOL, AREA_TOL * area):
         raise QuadratureError(f"mesh quadrature residual {residual:.3e} exceeds "
                               f"tolerance", residual=residual)
     return area
 
 
-def flux_consistency(space: ConeSpace, H0: float, outcome: ShootingOutcome,
-                     quad_cfg: QuadratureConfig = QuadratureConfig()):
+def flux_consistency(space: ConeSpace, H0: float, outcome: ShootingOutcome):
     """(area, flux): the profile's normalized area vs the closed-form flux.
 
     The area is integrated on the accepted steps of the outcome's own
     integrator, whose mesh already resolves f, including its boundary layer
-    at theta = 0 when H0 is tiny; ``quad_cfg`` bounds the gap between two
+    at theta = 0 when H0 is tiny; ``_mesh_area`` bounds the gap between two
     Gauss rules on that mesh.  It agrees with ``s_functional`` on
     ``reconstruct_f``'s profile wherever that quadrature resolves f.
     """
-    area = _mesh_area(space, _graph_dense(outcome), float(outcome.log_fs[-1]), quad_cfg)
+    area = _mesh_area(space, _graph_dense(outcome), float(outcome.log_fs[-1]))
     flux = boundary_flux(initial_slope(H0, space), space)
     return area, flux
 

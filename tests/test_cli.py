@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conelab import phase
+from conelab import phase, shooting
 from conelab.cli import main
 from conelab.geometry import ConeSpace
-from conelab.shooting import flux_consistency, shoot
+from conelab.shooting import OutcomeKind, ShootingOutcome, flux_consistency, shoot
 
 
 def test_scan_prints_threshold(capsys):
@@ -46,6 +46,20 @@ def test_shoot_reports_outcome(capsys, tmp_path):
     outcome = shoot(ConeSpace(3, 0.95), 0.5)
     assert (f"steps: {outcome.steps} accepted, {outcome.rejected} rejected"
             in out)
+
+
+def test_shoot_reports_diagnostics(capsys, monkeypatch):
+    stalled = ShootingOutcome(kind=OutcomeKind.STALLED_NUMERIC, thetas=np.array([0.0, 0.1]),
+                              Hs=np.array([0.5, 0.6]), log_fs=np.array([0.0, -0.1]),
+                              diagnostics="floor tail failed", steps=1)
+    monkeypatch.setattr(shooting, "shoot", lambda space, H0, cfg: stalled)
+    main(["shoot", "--n", "3", "--lam", "0.5", "--h0", "0.5"])
+    out = capsys.readouterr().out
+    assert "outcome: StalledNumeric\n" in out
+    assert "diagnostics: floor tail failed\n" in out
+    monkeypatch.undo()
+    main(["shoot", "--n", "3", "--lam", "0.95", "--h0", "0.5"])
+    assert "diagnostics" not in capsys.readouterr().out
 
 
 def test_shoot_reports_area_and_flux(capsys):

@@ -389,13 +389,15 @@ class TestExpArea:
         assert got == pytest.approx(area, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("delta", [1e-3, 0.5])
-    def test_unconverged_tail_raises(self, delta):
+    def test_unconverged_tail_raises(self, delta, monkeypatch):
         # below and above the 0.3 cap: scipy's error estimate is checked even
         # where its warning is silenced, as it is outside the test suite
+        monkeypatch.setattr(competitors, "_TAIL_TOL", 1e-30)
+        competitors._g_cap_to_half_pi.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             with pytest.raises(QuadratureError):
-                _g_to_half_pi(ConeSpace(3, 0.9), delta, tol=1e-30)
+                _g_to_half_pi(ConeSpace(3, 0.9), delta)
 
     def test_numeric_below_bound(self):
         space = ConeSpace(2, 0.9)
@@ -548,6 +550,13 @@ class TestExpArea:
         f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)
         assert abs(f(0.01 - 1e-13) - f(0.01 + 1e-13)) < 1e-11
         assert f.breakpoints == (0.01,)
+
+    def test_subnormal_junction_names_the_overflow(self):
+        # mu = -log(alpha)/delta overflows; the area itself is well defined
+        space = ConeSpace(3, 0.9)
+        with pytest.raises(ValueError, match="mu = -log"):
+            exp_profile(space, 1e-310, 0.5)
+        assert exp_profile_area(space, 1e-310, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_mu_continuity_exact(self):
         comp = ExpCompetitor(space=ConeSpace(3, 0.9), delta=0.02, alpha=0.4)

@@ -9,9 +9,8 @@ from scipy.integrate import IntegrationWarning
 
 from conelab.errors import QuadratureError, checked_quad
 from conelab.geometry import ConeSpace
-from conelab.profiles import (LengthProfile, QuadratureConfig, RadialProfile,
-                              graph_area, read_profile, s_functional,
-                              write_profile)
+from conelab.profiles import (LengthProfile, RadialProfile, graph_area,
+                              read_profile, s_functional, write_profile)
 
 HALF_PI = math.pi / 2
 
@@ -162,8 +161,3 @@ def test_checked_quad():
         with pytest.raises(QuadratureError) as info:
             checked_quad(math.exp, 0.0, 1.0, 1e-30, 1e-30)
     assert info.value.residual > 100.0 * 1e-30 * (math.e - 1.0)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)

@@ -14,7 +14,7 @@ from conelab import shooting
 from conelab.errors import NumericError, QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.phase import decide, threshold
-from conelab.profiles import QuadratureConfig, s_functional
+from conelab.profiles import s_functional
 from conelab.shooting import (OutcomeKind, ShootConfig, ShootingOutcome,
                               barrier_certificate, barrier_margins, barrier_slope,
                               boundary_flux,
@@ -379,11 +379,72 @@ def test_work_counters():
     assert ceiling.steps == len(ceiling.thetas) - 1 > 0
     floor = shoot(ConeSpace(2, 0.5), 1e-6)
     assert floor.kind is OutcomeKind.EXITS_AT_FLOOR
-    # the H-phase tail starts again from the theta-phase's last node
-    assert floor.steps == len(floor.thetas) - 2
+    # the H-phase tail starts from the theta-phase's last node, stored once
+    assert floor.steps == len(floor.thetas) - 1
     assert floor.rejected > 0
     start = shoot(ConeSpace(3, 0.95), HALF_PI)
     assert start.steps == start.rejected == 0
+
+
+@pytest.mark.parametrize("H0", [1e-12, 5e-10, 1e-9, 1.5e-9, 2e-9])
+def test_tiny_start_exits_at_floor(H0):
+    # H0 <= H_FLOOR is a floor exit at theta = 0; just above it the switch
+    # level is H_FLOOR itself, and the tail never runs back up toward it
+    out = shoot(ConeSpace(3, 0.5), H0)
+    assert out.kind is OutcomeKind.EXITS_AT_FLOOR
+    assert out.steps == len(out.thetas) - 1
+    assert np.all(np.diff(out.thetas) >= 0.0)
+    peak = int(np.argmax(out.Hs))
+    assert np.all(np.diff(out.Hs[peak:]) <= 0.0)
+    assert out.Hs[-1] <= shooting.H_FLOOR
+    assert out.theta_exit == out.thetas[-1]
+    if H0 <= shooting.H_FLOOR:
+        assert out.theta_exit == 0.0 and out.steps == 0
+
+
+class TestFailureBranches:
+    def test_stalled_theta_phase_rerouted_to_floor(self):
+        # the plunge is too stiff in theta: _dopri's step falls below 10 ulp,
+        # and the steeply falling state is finished in H
+        out = shoot(ConeSpace(3, 0.9282869334350132), 4.458683138055029e-09)
+        assert out.dense.failed
+        assert out.kind is OutcomeKind.EXITS_AT_FLOOR
+        assert out.theta_exit == pytest.approx(0.0564981583, rel=1e-9)
+        assert (out.steps, out.rejected) == (435, 93)
+        assert out.steps == len(out.thetas) - 1
+
+    def test_stalled_theta_phase_while_rising(self, monkeypatch):
+        dopri = shooting._dopri
+
+        def stalling(fun, t, y, z, t_bound, rtol, atol, watch=None):
+            path = dopri(fun, t, y, z, t_bound, rtol, atol, lambda p: p.steps >= 5)
+            path.failed = True
+            return path
+
+        monkeypatch.setattr(shooting, "_dopri", stalling)
+        out = shoot(ConeSpace(3, 0.5), 0.5)
+        assert out.kind is OutcomeKind.STALLED_NUMERIC
+        assert out.diagnostics == shooting._TOO_SMALL
+        assert out.steps == 5
+
+    def test_failed_floor_tail(self, monkeypatch):
+        floor_tail = shooting._floor_tail
+
+        def failing(*args):
+            tail = floor_tail(*args)
+            tail.failed = True
+            return tail
+
+        monkeypatch.setattr(shooting, "_floor_tail", failing)
+        out = shoot(ConeSpace(2, 0.5), 1e-6)
+        assert out.kind is OutcomeKind.STALLED_NUMERIC
+        assert out.diagnostics == "floor tail failed"
+
+    def test_start_radii_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(shooting, "_H0_AGREEMENT", 0.0)
+        with pytest.raises(NumericError) as info:
+            find_extending_shots(ConeSpace(3, 0.9))
+        assert info.value.residual > 0.0
 
 
 def test_extending_shot_at_n4():
@@ -637,11 +698,12 @@ class TestFluxConsistency:
         assert out.f_end == (None if f_end is None else pytest.approx(f_end, rel=1e-15, abs=0.0))
         assert flux_consistency(space, H0, out)[0] == pytest.approx(area, rel=1e-15, abs=0.0)
 
-    def test_residual_above_tolerance_raises(self):
+    def test_residual_above_tolerance_raises(self, monkeypatch):
         space = ConeSpace(3, 0.9)
         H0, out = find_extending_shots(space, count=1)[0]
+        monkeypatch.setattr(shooting, "AREA_TOL", 1e-30)
         with pytest.raises(QuadratureError) as info:
-            flux_consistency(space, H0, out, QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
+            flux_consistency(space, H0, out)
         assert 0.0 < info.value.residual < 1e-10
 
     def test_non_graph_outcomes_rejected(self):
@@ -668,10 +730,3 @@ def test_write_trajectory(tmp_path):
     assert data.shape[1] == 3
     assert data[0, 1] == pytest.approx(0.5)
     assert data[0, 2] == pytest.approx(1.0)
-
-
-def test_shoot_config_validation():
-    with pytest.raises(ValueError):
-        ShootConfig(h_floor=1e-3, h_switch=1e-4)
-    with pytest.raises(ValueError):
-        ShootConfig(theta_pad=0.5)
