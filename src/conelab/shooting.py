@@ -369,39 +369,41 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
     Near the floor the right-hand side blows up, so once H falls through the
     switch level (``H_SWITCH``, or H0/2 if lower, but never below
     ``H_FLOOR``) the roles of theta and H are swapped and the tail is
-    integrated in H down to ``H_FLOOR``.  A start at or below ``H_FLOOR``
-    is a floor exit at theta = 0, as one at or above pi/2 - ``H_FLOOR`` is
-    a ceiling exit there.
+    integrated in H down to ``H_FLOOR``.  A start below the switch rises
+    first (H'(0) = n*lam > 0); if it turns before reaching the switch, it
+    exits at the floor where it turns.  A start at or above pi/2 - ``H_FLOOR``
+    is a ceiling exit at theta = 0.
     """
     if not 0.0 < H0 <= HALF_PI:
         raise ValueError(f"H0 must lie in (0, pi/2], got {H0}")
     nl, nm1 = space.n * space.lam, space.n - 1
     ceiling = HALF_PI - H_FLOOR
 
-    if H0 <= H_FLOOR or H0 >= ceiling:
-        # the start is already on the floor, or H'(0) = n*lam > 0 pushes the
-        # trajectory straight out through the ceiling
-        kind = OutcomeKind.EXITS_AT_FLOOR if H0 <= H_FLOOR else OutcomeKind.EXITS_AT_CEILING
-        return ShootingOutcome(kind=kind, thetas=np.array([0.0]), Hs=np.array([H0]),
-                               log_fs=np.array([0.0]), theta_exit=0.0)
+    if H0 >= ceiling:
+        # H'(0) = n*lam > 0 pushes the trajectory straight out through the ceiling
+        return ShootingOutcome(kind=OutcomeKind.EXITS_AT_CEILING, thetas=np.array([0.0]),
+                               Hs=np.array([H0]), log_fs=np.array([0.0]), theta_exit=0.0)
 
     rhs = _theta_rhs(space)
 
     # Once H' <= 0, H'' = (n-1) (tan(theta) H' / sin^2 H - cot H / cos^2 theta)
     # < 0: a falling trajectory keeps falling ever faster, so crossing the
-    # switch downward is a floor exit.  The switch lies in [H_FLOOR, H0), so
-    # the tail runs down.  Where it is min(H_SWITCH, H0/2) the crossing is
-    # steep: at a slope in [-1e-3, 0) it would take a fall of at least `switch`
-    # (from a peak above H0 >= 2 switch), so theta >= 1000 switch there, which
-    # makes H' <= n lam - (n-1) theta / tan(switch) < -900.
+    # switch downward, or turning below it, is a floor exit.  The switch is
+    # at least H_FLOOR, so the tail runs down.  Where it is min(H_SWITCH,
+    # H0/2) the crossing is steep: at a slope in [-1e-3, 0) it would take a
+    # fall of at least `switch` (from a peak above H0 >= 2 switch), so
+    # theta >= 1000 switch there, which makes
+    # H' <= n lam - (n-1) theta / tan(switch) < -900.
     switch = max(min(H_SWITCH, H0 / 2.0), H_FLOOR)
     exit_kind = None
 
     def watch(path):
         nonlocal exit_kind
         H_old, H_new = path.ys[-2], path.ys[-1]
-        if H_old >= switch >= H_new:
+        if switch >= H_new < H_old:
             exit_kind, level = OutcomeKind.EXITS_AT_FLOOR, switch
+            if H_old < switch:      # a start below the switch turned under it
+                return True
         elif H_old <= ceiling <= H_new:
             exit_kind, level = OutcomeKind.EXITS_AT_CEILING, ceiling
         else:

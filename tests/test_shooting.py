@@ -386,20 +386,32 @@ def test_work_counters():
     assert start.steps == start.rejected == 0
 
 
-@pytest.mark.parametrize("H0", [1e-12, 5e-10, 1e-9, 1.5e-9, 2e-9])
+@pytest.mark.parametrize("H0", [1e-12, 1e-10, 5e-10, 1e-9, 1.5e-9, 2e-9])
 def test_tiny_start_exits_at_floor(H0):
-    # H0 <= H_FLOOR is a floor exit at theta = 0; just above it the switch
-    # level is H_FLOOR itself, and the tail never runs back up toward it
+    # below 2 H_FLOOR the switch level is H_FLOOR itself; a start under it
+    # rises, then exits where it turns or falls through the switch, and the
+    # tail never runs back up toward it
     out = shoot(ConeSpace(3, 0.5), H0)
     assert out.kind is OutcomeKind.EXITS_AT_FLOOR
-    assert out.steps == len(out.thetas) - 1
+    assert out.steps == len(out.thetas) - 1 > 0
     assert np.all(np.diff(out.thetas) >= 0.0)
     peak = int(np.argmax(out.Hs))
     assert np.all(np.diff(out.Hs[peak:]) <= 0.0)
+    assert np.all(np.diff(out.Hs[:peak + 1]) > 0.0)
     assert out.Hs[-1] <= shooting.H_FLOOR
-    assert out.theta_exit == out.thetas[-1]
-    if H0 <= shooting.H_FLOOR:
-        assert out.theta_exit == 0.0 and out.steps == 0
+    assert out.theta_exit == out.thetas[-1] > 0.0
+
+
+@pytest.mark.parametrize("n, lam, H0", [(3, 0.98, 1e-10), (3, 0.98, 1e-12),
+                                        (2, 1.0, 1e-12), (3, 0.942, 1e-10)])
+def test_tiny_start_rises_to_ceiling(n, lam, H0):
+    # H'(0) = n lam > 0 lifts a start under H_FLOOR off the floor; at
+    # lam >= lam*, and just below it above the separatrix, it rides the ray
+    # H ~ c theta out through the ceiling
+    out = shoot(ConeSpace(n, lam), H0)
+    assert out.kind is OutcomeKind.EXITS_AT_CEILING
+    assert out.theta_exit > 0.4
+    assert np.all(np.diff(out.Hs) > 0.0)
 
 
 class TestFailureBranches:
