@@ -15,21 +15,18 @@ from .competitors import (CatenoidParams, ExpCompetitor, SearchResult,
                           competitor_search, disk_profile, exp_profile,
                           exp_profile_area, exp_profile_margin, solve_catenoid)
 from .errors import NumericError, QuadratureError
-from .geometry import (ConeSpace, CrossSectionCurvature, ExactCone,
-                       RevolutionSurface, cone_ricci, cone_sectional,
-                       density_ratio, equator_cone, hyperplane, sphere_area,
-                       threshold_discriminant, unit_ball_volume)
-from .profiles import (LengthProfile, RadialProfile, graph_area, read_profile,
-                       s_functional, write_profile)
+from .geometry import (ConeSpace, ExactCone, RevolutionSurface, cone_ricci,
+                       cone_sectional, density_ratio, equator_cone, hyperplane,
+                       sphere_area, threshold_discriminant, unit_ball_volume)
+from .profiles import LengthProfile, RadialProfile, graph_area, s_functional
 from .phase import (Certificate, Decision, ScanRecord, Verdict, decide,
                     emit, empirical_threshold, parse_csv, scan, threshold)
-from .shooting import (BarrierCertificate, OutcomeKind, ShootConfig,
-                       ShootingOutcome, barrier_certificate, barrier_slope,
-                       boundary_flux, find_extending_shots, flux_consistency,
-                       h_rhs, initial_slope, reconstruct_f, shoot)
+from .shooting import (BarrierCertificate, OutcomeKind, ShootingOutcome,
+                       barrier_certificate, barrier_slope, boundary_flux,
+                       find_extending_shots, flux_consistency, initial_slope,
+                       reconstruct_f, shoot)
 from .stability import (InstabilityCertificate, TestFunctionEta,
-                        critical_log_ratio, instability_certificate,
-                        scale_second_fundamental, stability_gap)
+                        critical_log_ratio, instability_certificate, stability_gap)
 
 __version__ = "0.1.0"
 

@@ -80,8 +80,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    for key, value in cfg.items():
+        defaults = json.load(fh)
+    for key, value in defaults.items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
@@ -118,8 +118,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_shoot(args) -> int:
     space = ConeSpace(n=args.n, lam=args.lam)
-    cfg = shooting.ShootConfig(rtol=args.rtol) if args.rtol else shooting.ShootConfig()
-    outcome = shooting.shoot(space, args.h0, cfg)
+    rtol = shooting.RTOL if args.rtol is None else args.rtol
+    outcome = shooting.shoot(space, args.h0, rtol=rtol)
     print(f"outcome: {outcome.kind.value}")
     print(f"steps: {outcome.steps} accepted, {outcome.rejected} rejected")
     if outcome.diagnostics:
@@ -197,7 +197,7 @@ def _cmd_monotonicity(args) -> int:
         surface = geometry.hyperplane(args.n)
     else:
         surface = geometry.RevolutionSurface.catenoid()
-        radii = [r for r in radii if r > math.sqrt(surface._dist_sq(0.0))] or [2.0, 5.0]
+        radii = [r for r in radii if r > surface.rho(0.0)] or [2.0, 5.0]
     for r in radii:
         print(f"r={r:g}: density ratio {geometry.density_ratio(surface, r):.12g}")
     return 0

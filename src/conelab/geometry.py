@@ -34,10 +34,6 @@ class ConeSpace:
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"cross-section radius must be in (0, 1], got {self.lam}")
 
-    @property
-    def is_euclidean(self) -> bool:
-        return self.lam == 1.0
-
 
 # the float D's rounding error is about 1.3e-15 (n-1): above this cut times
 # (n-1) its relative error is below 1e-5, and below it D is computed exactly
@@ -57,20 +53,6 @@ def threshold_discriminant(n: int, lams) -> np.ndarray:
         a, b = float(lams[i]).as_integer_ratio()
         disc[i] = ((n * a) ** 2 - 4 * (n - 1) * b * b) / (b * b)
     return disc
-
-
-@dataclass(frozen=True)
-class CrossSectionCurvature:
-    """Constant curvature data of the round cross-section sphere."""
-
-    sectional: float
-    ricci_diag: float
-    dim: int
-
-    @classmethod
-    def of(cls, space: ConeSpace) -> "CrossSectionCurvature":
-        sec = 1.0 / space.lam**2
-        return cls(sectional=sec, ricci_diag=(space.n - 1) * sec, dim=space.n)
 
 
 def _check_radius(t: float) -> None:

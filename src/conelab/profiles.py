@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
 
 from .errors import AREA_TOL, QuadratureError, checked_quad
 from .geometry import ConeSpace
@@ -53,20 +52,6 @@ class RadialProfile:
         if value <= 0.0:
             raise ValueError("profile values must be positive")
         return cls(lo=lo, hi=hi, eval=lambda x: (value, 0.0))
-
-    @classmethod
-    def from_samples(cls, xs: Sequence[float], fs: Sequence[float]) -> "RadialProfile":
-        xs = np.asarray(xs, dtype=float)
-        fs = np.asarray(fs, dtype=float)
-        if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 4:
-            raise ValueError("need matching 1-d sample arrays with at least 4 points")
-        if not np.all(np.diff(xs) > 0.0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        if np.any(fs <= 0.0):
-            raise ValueError("profile values must be positive")
-        spline = scipy.interpolate.CubicSpline(xs, fs)
-        return cls(lo=float(xs[0]), hi=float(xs[-1]),
-                   eval=lambda x: (float(spline(x)), float(spline(x, 1))))
 
     @classmethod
     def piecewise(cls, pieces: Sequence["RadialProfile"]) -> "RadialProfile":
@@ -111,23 +96,11 @@ class LengthProfile:
         return self.L0 - self.deficit(t)
 
     @classmethod
-    def round_sphere(cls, L0: float = 2.0 * math.pi, scale: float = 1.0) -> "LengthProfile":
-        """L(t) = L0 cos(t / scale) on [0, scale*pi/2], deficit 2 L0 sin^2(t / (2 scale))."""
-        hi = scale * math.pi / 2.0
-        return cls(deficit=lambda t: 2.0 * L0 * math.sin(0.5 * t / scale) ** 2 if t <= hi else L0,
+    def round_sphere(cls) -> "LengthProfile":
+        """L(t) = 2 pi cos(t) on [0, pi/2], deficit 4 pi sin^2(t / 2)."""
+        L0, hi = 2.0 * math.pi, math.pi / 2.0
+        return cls(deficit=lambda t: 2.0 * L0 * math.sin(0.5 * t) ** 2 if t <= hi else L0,
                    L0=L0, hi=hi)
-
-    @classmethod
-    def from_table(cls, ts: Sequence[float], Ls: Sequence[float]) -> "LengthProfile":
-        ts = np.asarray(ts, dtype=float)
-        Ls = np.asarray(Ls, dtype=float)
-        if not np.all(np.diff(ts) > 0.0) or ts[0] != 0.0:
-            raise ValueError("table abscissae must start at 0 and increase")
-        if np.any(Ls < 0.0) or np.any(Ls > Ls[0]):
-            raise ValueError("need 0 <= L(t) <= L(0)")
-        spline = scipy.interpolate.CubicSpline(ts, Ls)
-        L0 = float(Ls[0])
-        return cls(deficit=lambda t: L0 - max(float(spline(t)), 0.0), L0=L0, hi=float(ts[-1]))
 
 
 def _adaptive_quad(fn, lo, hi, points=()):
@@ -181,16 +154,3 @@ def s_functional(f: RadialProfile, space: ConeSpace) -> float:
                 * v ** (n - 1) * math.cos(theta) ** (n - 1))
 
     return _adaptive_quad(integrand, 0.0, half_pi, points=f.breakpoints)
-
-
-def read_profile(path) -> RadialProfile:
-    """Read a sampled profile from two-column text (theta, f)."""
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("expected two-column numeric text")
-    return RadialProfile.from_samples(data[:, 0], data[:, 1])
-
-
-def write_profile(path, xs: Sequence[float], fs: Sequence[float]) -> None:
-    """Write profile samples as two-column text (theta, f)."""
-    np.savetxt(path, np.column_stack([xs, fs]), fmt="%.17g")

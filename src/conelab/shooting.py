@@ -42,14 +42,8 @@ class OutcomeKind(Enum):
 H_FLOOR = 1e-9      # a floor exit at H <= H_FLOOR, a ceiling exit at H >= pi/2 - H_FLOOR
 H_SWITCH = 1e-4     # swap the independent variable below this H
 THETA_PAD = 1e-6    # a forward shot integrates up to pi/2 - THETA_PAD
-
-
-@dataclass(frozen=True)
-class ShootConfig:
-    """The integrator's error tolerances."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
+RTOL = 1e-10        # the integrator's relative error tolerance
+ATOL = 1e-12        # the integrator's absolute error tolerance
 
 
 @dataclass(frozen=True)
@@ -73,15 +67,6 @@ class BarrierCertificate:
     thetas: np.ndarray
     rhs_values: np.ndarray
     margin: float
-
-
-def h_rhs(theta: float, H: float, space: ConeSpace) -> float:
-    """Right-hand side of the angle ODE."""
-    if not 0.0 <= theta < HALF_PI:
-        raise ValueError(f"theta must lie in [0, pi/2), got {theta}")
-    if not 0.0 < H < math.pi:
-        raise ValueError(f"H must lie in (0, pi) for cot(H), got {H}")
-    return space.n * space.lam - (space.n - 1) * math.tan(theta) / math.tan(H)
 
 
 BARRIER_SAMPLES = 1000  # interior sample angles of barrier_certificate
@@ -240,10 +225,10 @@ class _Path:
         return float(y[0, 0]), float(z[0, 0])
 
     def crossing(self, level: float) -> float:
-        """Where the last step's interpolant of y meets ``level``."""
+        """Where the last step's interpolant of y meets ``level``, to 4 eps relative in t."""
         i = len(self.stages) - 1
         return scipy.optimize.brentq(lambda t: self._at(i, t)[0] - level, self.ts[-2], self.ts[-1],
-                                     xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                                     xtol=sys.float_info.min, rtol=_EVENT_TOL)
 
     def cut(self, t: float) -> None:
         """End the path at t inside its last step."""
@@ -351,7 +336,7 @@ def _theta_rhs(space: ConeSpace):
 
 
 def _floor_tail(space: ConeSpace, theta_e: float, H_e: float, logf_e: float,
-                cfg: ShootConfig) -> _Path:
+                rtol: float) -> _Path:
     """Integrate (theta, log f) as functions of H from H_e down to the floor, if above it."""
     nl, nm1, lam = space.n * space.lam, space.n - 1, space.lam
 
@@ -360,10 +345,10 @@ def _floor_tail(space: ConeSpace, theta_e: float, H_e: float, logf_e: float,
         slope = nl - nm1 * math.tan(theta) / tan_H
         return 1.0 / slope, -lam / tan_H / slope
 
-    return _dopri(rhs, H_e, theta_e, logf_e, min(H_e, H_FLOOR), cfg.rtol, cfg.atol)
+    return _dopri(rhs, H_e, theta_e, logf_e, min(H_e, H_FLOOR), rtol, ATOL)
 
 
-def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> ShootingOutcome:
+def shoot(space: ConeSpace, H0: float, rtol: float = RTOL) -> ShootingOutcome:
     """Integrate the angle ODE from theta = 0 until an exit or theta = pi/2.
 
     Near the floor the right-hand side blows up, so once H falls through the
@@ -372,10 +357,13 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
     integrated in H down to ``H_FLOOR``.  A start below the switch rises
     first (H'(0) = n*lam > 0); if it turns before reaching the switch, it
     exits at the floor where it turns.  A start at or above pi/2 - ``H_FLOOR``
-    is a ceiling exit at theta = 0.
+    is a ceiling exit at theta = 0.  Both phases run at relative tolerance
+    ``rtol`` and absolute tolerance ``ATOL``.
     """
     if not 0.0 < H0 <= HALF_PI:
         raise ValueError(f"H0 must lie in (0, pi/2], got {H0}")
+    if not rtol > 0.0:
+        raise ValueError(f"rtol must be positive, got {rtol}")
     nl, nm1 = space.n * space.lam, space.n - 1
     ceiling = HALF_PI - H_FLOOR
 
@@ -412,7 +400,7 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
         return True
 
     theta_end = HALF_PI - THETA_PAD
-    path = _dopri(rhs, 0.0, H0, 0.0, theta_end, cfg.rtol, cfg.atol, watch)
+    path = _dopri(rhs, 0.0, H0, 0.0, theta_end, rtol, ATOL, watch)
     te, He, logfe = path.ts[-1], path.ys[-1], path.zs[-1]
     if path.failed:
         # the plunge toward the floor is stiff in theta; if the state is
@@ -422,7 +410,7 @@ def shoot(space: ConeSpace, H0: float, cfg: ShootConfig = ShootConfig()) -> Shoo
         else:
             return _finish(OutcomeKind.STALLED_NUMERIC, path, diagnostics=_TOO_SMALL)
     if exit_kind is OutcomeKind.EXITS_AT_FLOOR:
-        tail = _floor_tail(space, te, He, logfe, cfg)
+        tail = _floor_tail(space, te, He, logfe, rtol)
         if tail.failed:
             return _finish(OutcomeKind.STALLED_NUMERIC, path,
                            diagnostics=_TOO_SMALL if path.failed else "floor tail failed")
@@ -491,14 +479,14 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
 _H0_AGREEMENT = 1e-9
 
 
-def _shoot_back(space: ConeSpace, u0: float, cfg: ShootConfig):
+def _shoot_back(space: ConeSpace, u0: float):
     """(H0, outcome) of one shot from theta = pi/2 - u0 on w = lam*u back to 0."""
     def watch(path):
         return path.ys[-1] <= H_FLOOR
 
     theta_top = HALF_PI - u0
     path = _dopri(_theta_rhs(space), theta_top, HALF_PI - space.lam * u0, 0.0, 0.0,
-                  cfg.rtol, cfg.atol, watch)
+                  RTOL, ATOL, watch)
     if path.failed or path.ts[-1] != 0.0:
         where = "stalled" if path.failed else "reached the floor"
         raise NumericError(f"backward shot from u0={u0:g} {where} at theta={path.ts[-1]!r}, "
@@ -514,8 +502,7 @@ def _shoot_back(space: ConeSpace, u0: float, cfg: ShootConfig):
     return H0, outcome
 
 
-def find_extending_shots(space: ConeSpace, count: int = 3,
-                         cfg: ShootConfig = ShootConfig()):
+def find_extending_shots(space: ConeSpace, count: int = 3):
     """Extending shots, each integrated backward from the singular corner.
 
     Near theta = H = pi/2, with u = pi/2 - theta and w = pi/2 - H, the
@@ -524,16 +511,16 @@ def find_extending_shots(space: ConeSpace, count: int = 3,
     backward, the C term decays, so a shot started on w = lam*u at u0 lands
     on the separatrix and reads its H0 off at theta = 0.  Returns ``count``
     pairs (H0, outcome), from u0 = ``THETA_PAD`` * 10^-k for k = 0..count-1,
-    with f(0) = 1; [] where the exact D >= 0, since the barrier line then
-    proves that no graph extends.  Raises ``NumericError`` when a shot
-    stalls or reaches the floor (``H_FLOOR``), or when the radii disagree on
-    H0.
+    with f(0) = 1, each integrated at the tolerances ``RTOL`` and ``ATOL``;
+    [] where the exact D >= 0, since the barrier line then proves that no
+    graph extends.  Raises ``NumericError`` when a shot stalls or reaches
+    the floor (``H_FLOOR``), or when the radii disagree on H0.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if threshold_discriminant(space.n, [space.lam])[0] >= 0.0:
         return []
-    hits = [_shoot_back(space, THETA_PAD * 10.0 ** -k, cfg) for k in range(count)]
+    hits = [_shoot_back(space, THETA_PAD * 10.0 ** -k) for k in range(count)]
     H0 = hits[0][0]
     spread = max(abs(h - H0) for h, _ in hits)
     if spread > _H0_AGREEMENT * H0:

@@ -107,17 +107,3 @@ def critical_log_ratio(lam: float) -> float:
     if lam == 1.0:
         return math.inf
     return 2.0 * lam * lam / (1.0 - lam * lam)
-
-
-def scale_second_fundamental(a_sq: float, lam: float) -> float:
-    """Squared second fundamental form after rescaling the cross-section to radius 1.
-
-    A minimal hypersurface of the radius-lam cone pulls back, under the
-    dilation by 1/lam, to one in the unit cone with the squared second
-    fundamental form divided by lam^2 -- equivalently, curvature in the
-    narrow cone is amplified by 1/lam^2 relative to its unit-radius model.
-    """
-    if a_sq < 0.0:
-        raise ValueError("squared second fundamental form must be nonnegative")
-    _check_lam(lam)
-    return a_sq / (lam * lam)

@@ -52,7 +52,7 @@ def test_shoot_reports_diagnostics(capsys, monkeypatch):
     stalled = ShootingOutcome(kind=OutcomeKind.STALLED_NUMERIC, thetas=np.array([0.0, 0.1]),
                               Hs=np.array([0.5, 0.6]), log_fs=np.array([0.0, -0.1]),
                               diagnostics="floor tail failed", steps=1)
-    monkeypatch.setattr(shooting, "shoot", lambda space, H0, cfg: stalled)
+    monkeypatch.setattr(shooting, "shoot", lambda space, H0, rtol: stalled)
     main(["shoot", "--n", "3", "--lam", "0.5", "--h0", "0.5"])
     out = capsys.readouterr().out
     assert "outcome: StalledNumeric\n" in out
@@ -60,6 +60,21 @@ def test_shoot_reports_diagnostics(capsys, monkeypatch):
     monkeypatch.undo()
     main(["shoot", "--n", "3", "--lam", "0.95", "--h0", "0.5"])
     assert "diagnostics" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, rtol, steps", [((), shooting.RTOL, 30),
+                                               (("--rtol", "1e-8"), 1e-8, 15)])
+def test_shoot_rtol_sets_the_tolerance(capsys, flags, rtol, steps):
+    main(["shoot", "--n", "3", "--lam", "0.95", "--h0", "0.5", *flags])
+    outcome = shoot(ConeSpace(3, 0.95), 0.5, rtol=rtol)
+    assert outcome.steps == steps
+    assert f"steps: {steps} accepted, 0 rejected\n" in capsys.readouterr().out
+
+
+def test_shoot_rejects_a_zero_rtol():
+    # 0 is passed on, not read as "unset"
+    with pytest.raises(ValueError, match="rtol"):
+        main(["shoot", "--n", "3", "--lam", "0.95", "--h0", "0.5", "--rtol", "0"])
 
 
 def test_shoot_reports_area_and_flux(capsys):
@@ -135,6 +150,16 @@ def test_monotonicity_output(capsys):
     out = capsys.readouterr().out
     values = [float(line.split()[-1]) for line in out.strip().splitlines()]
     assert max(values) - min(values) < 1e-10 * values[0]
+
+
+def test_monotonicity_catenoid_output(capsys):
+    # radii up to the neck radius rho(0) = 1 are dropped; none left falls back to 2 and 5
+    main(["monotonicity", "--surface", "catenoid", "--radii", "0.5", "1", "1.5", "3"])
+    assert capsys.readouterr().out == ("r=1.5: density ratio 5.09653992919\n"
+                                       "r=3: density ratio 5.2696266934\n")
+    main(["monotonicity", "--surface", "catenoid", "--radii", "0.5", "1"])
+    assert capsys.readouterr().out == ("r=2: density ratio 5.23642088562\n"
+                                       "r=5: density ratio 5.50592529866\n")
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

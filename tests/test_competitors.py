@@ -201,17 +201,10 @@ class TestDisk:
                 + 0.5 * L0 * alpha**2 * delta**4
             assert area <= bound
 
-    def test_tabulated_length_profile(self):
-        ts = np.linspace(0.0, HALF_PI, 400)
-        L = LengthProfile.from_table(ts, L0 * np.cos(ts))
-        _, area = disk_profile(0.1, 0.5, L)
-        assert area == pytest.approx(0.5 * L0 * 0.25 * math.cos(0.1) ** 2, abs=1e-6)
-
     def test_inadmissible_table_rejected(self):
         # constant L violates L^2 + F^2 <= L0^2 away from 0: no such profile is built
-        ts = np.linspace(0.0, HALF_PI, 50)
         with pytest.raises(ValueError):
-            LengthProfile.from_table(ts, np.full_like(ts, 1.0))
+            LengthProfile(deficit=lambda t: 0.0, L0=1.0, hi=HALF_PI)
 
     def test_junction_outside_domain(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.geometry import (ConeSpace, CrossSectionCurvature, RevolutionSurface,
+from conelab.geometry import (ConeSpace, RevolutionSurface,
                               cone_ricci, cone_sectional, density_ratio,
                               equator_cone, hyperplane, sphere_area,
                               threshold_discriminant, unit_ball_volume)
@@ -20,16 +20,6 @@ class TestConeSpace:
             ConeSpace(3, 0.0)
         with pytest.raises(ValueError):
             ConeSpace(3, 1.5)
-
-    def test_euclidean_flag(self):
-        assert ConeSpace(3, 1.0).is_euclidean
-        assert not ConeSpace(3, 0.9).is_euclidean
-
-    def test_cross_section_curvature(self):
-        c = CrossSectionCurvature.of(ConeSpace(4, 0.5))
-        assert c.sectional == 4.0
-        assert c.ricci_diag == 3 * 4.0
-        assert c.ricci_diag == (c.dim - 1) * c.sectional
 
 
 class TestThresholdDiscriminant:

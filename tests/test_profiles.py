@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +8,7 @@ from scipy.integrate import IntegrationWarning
 
 from conelab.errors import QuadratureError, checked_quad
 from conelab.geometry import ConeSpace
-from conelab.profiles import (LengthProfile, RadialProfile, graph_area,
-                              read_profile, s_functional, write_profile)
+from conelab.profiles import LengthProfile, RadialProfile, graph_area, s_functional
 
 HALF_PI = math.pi / 2
 
@@ -29,19 +27,6 @@ class TestRadialProfile:
         with pytest.raises(ValueError):
             RadialProfile(lo=1.0, hi=1.0, eval=lambda x: (1.0, 0.0))
 
-    def test_from_samples_roundtrip(self):
-        xs = np.linspace(0.0, HALF_PI, 40)
-        fs = np.exp(-0.7 * xs)
-        f = RadialProfile.from_samples(xs, fs)
-        assert f(0.5) == pytest.approx(math.exp(-0.35), rel=1e-6)
-        assert f.eval(0.5)[1] == pytest.approx(-0.7 * math.exp(-0.35), rel=1e-4)
-
-    def test_from_samples_validation(self):
-        with pytest.raises(ValueError):
-            RadialProfile.from_samples([0, 1, 1, 2], [1, 1, 1, 1])
-        with pytest.raises(ValueError):
-            RadialProfile.from_samples([0, 1, 2, 3], [1, -1, 1, 1])
-
     def test_piecewise_junction(self):
         left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: (1.0 - x, -1.0))
         right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: (0.5 * math.exp(0.5 - x),
@@ -56,14 +41,6 @@ class TestRadialProfile:
         right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: (2.0, 0.0))
         with pytest.raises(ValueError, match="discontinuous"):
             RadialProfile.piecewise([left, right])
-
-    def test_file_roundtrip(self, tmp_path):
-        xs = np.linspace(0.0, HALF_PI, 25)
-        fs = 1.0 / (1.0 + xs)
-        path = tmp_path / "profile.txt"
-        write_profile(path, xs, fs)
-        f = read_profile(path)
-        assert f(1.0) == pytest.approx(0.5, rel=1e-6)
 
 
 class TestGraphArea:
@@ -138,17 +115,6 @@ class TestLengthProfile:
         L = LengthProfile.round_sphere()
         assert L(0.0) == pytest.approx(2 * math.pi)
         assert L(HALF_PI) == pytest.approx(0.0, abs=1e-12)
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            LengthProfile.from_table([0.1, 0.2], [1.0, 0.5])  # must start at 0
-        with pytest.raises(ValueError):
-            LengthProfile.from_table([0.0, 0.5, 1.0], [1.0, 1.2, 0.3])  # L > L0
-
-    def test_table_matches_round_sphere(self):
-        ts = np.linspace(0.0, HALF_PI, 200)
-        L = LengthProfile.from_table(ts, 2 * math.pi * np.cos(ts))
-        assert L(0.7) == pytest.approx(2 * math.pi * math.cos(0.7), rel=1e-8)
 
 
 def test_checked_quad():

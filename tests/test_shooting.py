@@ -15,10 +15,10 @@ from conelab.errors import NumericError, QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.phase import decide, threshold
 from conelab.profiles import s_functional
-from conelab.shooting import (OutcomeKind, ShootConfig, ShootingOutcome,
+from conelab.shooting import (OutcomeKind, ShootingOutcome, _theta_rhs,
                               barrier_certificate, barrier_margins, barrier_slope,
                               boundary_flux,
-                              find_extending_shots, flux_consistency, h_rhs,
+                              find_extending_shots, flux_consistency,
                               initial_slope, reconstruct_f, shoot,
                               write_trajectory)
 
@@ -27,24 +27,18 @@ HALF_PI = math.pi / 2
 
 class TestRhs:
     def test_at_origin(self):
-        assert h_rhs(0.0, HALF_PI, ConeSpace(2, 0.5)) == pytest.approx(1.0)
+        assert _theta_rhs(ConeSpace(2, 0.5))(0.0, HALF_PI)[0] == pytest.approx(1.0)
 
     def test_interior_value(self):
-        assert h_rhs(math.pi / 4, math.pi / 4, ConeSpace(3, 1.0)) == pytest.approx(1.0)
+        assert _theta_rhs(ConeSpace(3, 1.0))(math.pi / 4, math.pi / 4)[0] == pytest.approx(1.0)
 
     def test_ceiling_gives_n_lam(self):
-        assert h_rhs(math.pi / 3, HALF_PI, ConeSpace(4, 0.8)) == pytest.approx(
+        assert _theta_rhs(ConeSpace(4, 0.8))(math.pi / 3, HALF_PI)[0] == pytest.approx(
             3.2, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            h_rhs(0.0, 0.0, ConeSpace(2, 0.5))
-        with pytest.raises(ValueError):
-            h_rhs(HALF_PI, 1.0, ConeSpace(2, 0.5))
 
     def test_exact_at_ceiling_start(self):
         space = ConeSpace(5, 0.83)
-        assert h_rhs(0.0, HALF_PI, space) == space.n * space.lam
+        assert _theta_rhs(space)(0.0, HALF_PI)[0] == space.n * space.lam
 
 
 class TestBarrier:
@@ -172,8 +166,8 @@ class TestShoot:
 
     def test_exit_stable_under_tighter_tolerance(self):
         space = ConeSpace(2, 0.5)
-        loose = shoot(space, 0.01, ShootConfig(rtol=1e-8, atol=1e-10))
-        tight = shoot(space, 0.01, ShootConfig(rtol=1e-11, atol=1e-13))
+        loose = shoot(space, 0.01, rtol=1e-8)
+        tight = shoot(space, 0.01, rtol=1e-11)
         assert loose.kind is tight.kind is OutcomeKind.EXITS_AT_FLOOR
         assert abs(loose.theta_exit - tight.theta_exit) < 1e-6
 
@@ -183,9 +177,16 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(ConeSpace(2, 0.5), 2.0)
 
+    def test_rtol_must_be_positive(self):
+        # the error scale atol + |y| rtol enters squared, so rtol = -1 would
+        # run as a loose rtol of 1 and misplace the exit
+        for rtol in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="rtol"):
+                shoot(ConeSpace(3, 0.95), 0.5, rtol=rtol)
+
 
 # Shots recorded with the former shooter (scipy solve_ivp RK45 at the
-# default ShootConfig): (n, lam, H0, kind, theta_exit, f_end), kind F = floor,
+# default tolerances): (n, lam, H0, kind, theta_exit, f_end), kind F = floor,
 # C = ceiling, E = extends.  n = 2..5 with lam below and at or above lam*; the
 # grid H0 stay >= 1e-3 from the floor/ceiling separatrix of their (n, lam).
 # The last four rows are the first extending shot find_extending_shots
@@ -400,6 +401,15 @@ def test_tiny_start_exits_at_floor(H0):
     assert np.all(np.diff(out.Hs[:peak + 1]) > 0.0)
     assert out.Hs[-1] <= shooting.H_FLOOR
     assert out.theta_exit == out.thetas[-1] > 0.0
+
+
+@pytest.mark.parametrize("H0, level", [(1.5e-9, 1e-9), (2e-8, 1e-8)])
+def test_floor_exit_cut_lands_on_the_switch_level(H0, level):
+    # the crossing is located to a relative tolerance in theta, so the cut
+    # meets the level even where theta is a few 1e-9
+    out = shoot(ConeSpace(3, 0.5), H0)
+    assert out.kind is OutcomeKind.EXITS_AT_FLOOR
+    assert out.dense.ys[-1] == pytest.approx(level, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n, lam, H0", [(3, 0.98, 1e-10), (3, 0.98, 1e-12),

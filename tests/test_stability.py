@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conelab.stability import (InstabilityCertificate, TestFunctionEta,
                                critical_log_ratio, instability_certificate,
-                               scale_second_fundamental, stability_gap)
+                               stability_gap)
 
 
 class TestEta:
@@ -92,25 +92,3 @@ class TestCertificate:
         assert very_close.gap > 0.0
         with pytest.raises(OverflowError):
             very_close.eta()
-
-
-class TestScaling:
-    def test_totally_geodesic(self):
-        assert scale_second_fundamental(0.0, 0.3) == 0.0
-
-    def test_identity_at_unit_radius(self):
-        assert scale_second_fundamental(2.0, 1.0) == 2.0
-
-    def test_half_radius(self):
-        assert scale_second_fundamental(2.0, 0.5) == 8.0
-
-    @given(st.floats(0.0, 1e6), st.floats(0.01, 1.0))
-    @settings(max_examples=100)
-    def test_amplifies(self, a_sq, lam):
-        assert scale_second_fundamental(a_sq, lam) >= a_sq
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            scale_second_fundamental(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            scale_second_fundamental(1.0, 0.0)
