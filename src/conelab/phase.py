@@ -211,12 +211,15 @@ def _row(rec: ScanRecord) -> dict:
 def _csv_lines(records: Iterable[ScanRecord]) -> list[str]:
     """One CSV line per record.
 
-    Only lambda and margin are formatted per row.  The n, verdict/certificate
-    and lambda_star/wall_time_ms parts are formatted once per run of records
-    that hold the very same objects, as a scan block's records do: identity
-    implies equal text, and an identity test costs less than hashing an Enum.
+    Only lambda and margin are formatted per row, and lambda's repr once per
+    value: a scan repeats its grid for every n, and the grid's lambdas are
+    positive floats, whose equal values have equal reprs.  The n,
+    verdict/certificate and lambda_star/wall_time_ms parts are formatted
+    once per run of records that hold the very same objects, as a scan
+    block's records do: identity implies equal text, and an identity test
+    costs less than hashing an Enum.
     """
-    lines = []
+    lines, lam_text = [], {}
     n0 = star0 = ms0 = verdict0 = cert0 = object()   # matches no field
     for n, lam, (verdict, cert, margin, _), star, ms in records:
         if n is not n0 or star is not star0 or ms is not ms0:
@@ -226,7 +229,10 @@ def _csv_lines(records: Iterable[ScanRecord]) -> list[str]:
             verdict0, cert0 = verdict, cert
             # _value_ is the member's value without the ``value`` property's call
             middle = f",{verdict._value_},{'' if cert is None else cert._value_},"
-        lines.append(f"{head}{lam!r}{middle}{margin!r}{tail}")
+        text = lam_text.get(lam)
+        if text is None:
+            text = lam_text[lam] = repr(lam)
+        lines.append(f"{head}{text}{middle}{margin!r}{tail}")
     return lines
 
 

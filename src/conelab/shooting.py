@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from .errors import AREA_TOL, NumericError, QuadratureError
+from .errors import AREA_TOL, NumericError, QuadratureError, checked_quad
 from .geometry import ConeSpace, threshold_discriminant
 from .profiles import RadialProfile
 # not called here since flux_consistency integrates the mesh itself; kept as a
@@ -549,11 +549,11 @@ def _mesh_area(space: ConeSpace, path: _Path, logf_last: float) -> float:
     With f' = -lam f cot H the integrand sqrt(f'^2 + lam^2 f^2) f^(n-1)
     cos^(n-1)(theta) is lam f^n cos^(n-1)(theta) / sin H.  It is summed over
     each step's Gauss nodes on the step's continuous extension, all steps at
-    once.  Past t_max, f keeps its last value exp(logf_last), and the
-    integral of cos^(n-1) over [t_max, pi/2] = [0, u] of sin^(n-1) is
-    B(sin^2 u; n/2, 1/2) / 2, an incomplete beta function.  Raises
-    ``QuadratureError`` when the 4- and 5-node sums differ, step by step, by
-    more than max(``AREA_TOL``, ``AREA_TOL`` * area) in total.
+    once.  Raises ``QuadratureError`` when the 4- and 5-node sums differ,
+    step by step, by more than max(``AREA_TOL``, ``AREA_TOL`` * that sum) in
+    total.  Past t_max, f keeps its last value exp(logf_last), and the
+    integral of cos^(n-1) over [t_max, pi/2] is that of sin^(n-1) over
+    [0, pi/2 - t_max], one ``checked_quad`` at ``AREA_TOL``.
     """
     m = len(path.stages)
     stages = np.fromiter(chain.from_iterable(path.stages), float, 16 * m).reshape(m, 16)
@@ -563,15 +563,14 @@ def _mesh_area(space: ConeSpace, path: _Path, logf_last: float) -> float:
     n = space.n
     values = np.exp(n * logfs) * np.cos(thetas) ** (n - 1) / np.sin(Hs)
     sums = (values @ _WEIGHTS) * np.abs(width)
-    a = n / 2.0
-    tail = (math.exp(n * logf_last) * scipy.special.beta(a, 0.5)
-            * scipy.special.betainc(a, 0.5, math.sin(HALF_PI - path.t_max) ** 2) / 2.0)
-    area = space.lam * (float(sums[:, 1].sum()) + tail)
+    mesh = float(sums[:, 1].sum())
     residual = space.lam * float(np.abs(sums[:, 1] - sums[:, 0]).sum())
-    if residual > max(AREA_TOL, AREA_TOL * area):
+    if residual > max(AREA_TOL, AREA_TOL * space.lam * mesh):
         raise QuadratureError(f"mesh quadrature residual {residual:.3e} exceeds "
                               f"tolerance", residual=residual)
-    return area
+    tail = checked_quad(lambda u: math.sin(u) ** (n - 1), 0.0, HALF_PI - path.t_max,
+                        AREA_TOL, AREA_TOL)
+    return space.lam * (mesh + math.exp(n * logf_last) * tail)
 
 
 def flux_consistency(space: ConeSpace, H0: float, outcome: ShootingOutcome):

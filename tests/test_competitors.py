@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import sys
-import warnings
 
 import mpmath
 import numpy as np
@@ -10,7 +9,6 @@ import scipy.integrate
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning
 
 from conelab import competitors
 from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_integrand,
@@ -19,7 +17,7 @@ from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_i
                                  catenoid_residuals, competitor_search, disk_profile,
                                  exp_profile, exp_profile_area, exp_profile_margin,
                                  search_competitors, solve_catenoid)
-from conelab.errors import NumericError, QuadratureError
+from conelab.errors import NumericError, QuadratureError, _qk21
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.profiles import LengthProfile, graph_area, s_functional
 
@@ -383,14 +381,11 @@ class TestExpArea:
 
     @pytest.mark.parametrize("delta", [1e-3, 0.5])
     def test_unconverged_tail_raises(self, delta, monkeypatch):
-        # below and above the 0.3 cap: scipy's error estimate is checked even
-        # where its warning is silenced, as it is outside the test suite
+        # below and above the 0.3 cap: a tolerance below rounding cannot be met
         monkeypatch.setattr(competitors, "_TAIL_TOL", 1e-30)
         competitors._g_cap_to_half_pi.cache_clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            with pytest.raises(QuadratureError):
-                _g_to_half_pi(ConeSpace(3, 0.9), delta)
+        with pytest.raises(QuadratureError):
+            _g_to_half_pi(ConeSpace(3, 0.9), delta)
 
     def test_numeric_below_bound(self):
         space = ConeSpace(2, 0.9)
@@ -495,13 +490,13 @@ class TestExpArea:
         # after the first area at n = 4, a second junction below the cap
         # makes two quads: the head and the tail's remainder below the cap
         calls = []
-        quad = scipy.integrate.quad
+        quad = competitors.checked_quad
 
         def counting_quad(*args, **kwargs):
             calls.append(args[1:3])
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        monkeypatch.setattr(competitors, "checked_quad", counting_quad)
         competitors._g_cap_to_half_pi.cache_clear()
         space = ConeSpace(4, 0.8)
         first = exp_profile_area(space, 1e-5, 0.5)
@@ -521,7 +516,7 @@ class TestExpArea:
         space = ConeSpace(n, 0.5)
         _g_to_half_pi(space, 1e-3)     # caches the cap-to-pi/2 constant
         quads, nodes = [], []
-        quad, integrand = scipy.integrate.quad, competitors._g_integrand
+        quad, integrand = competitors.checked_quad, competitors._g_integrand
 
         def counting_quad(*args, **kwargs):
             quads.append(args[1:3])
@@ -531,13 +526,37 @@ class TestExpArea:
             nodes.append(t)
             return integrand(t, n)
 
-        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        monkeypatch.setattr(competitors, "checked_quad", counting_quad)
         monkeypatch.setattr(competitors, "_g_integrand", counting_integrand)
         for delta in (1e-3, 1e-6, 1e-12, 1e-300):
             quads.clear()
             nodes.clear()
             _g_to_half_pi(space, delta)
             assert len(quads) == 1 and len(nodes) == 21, (delta, len(quads), len(nodes))
+
+    @pytest.mark.parametrize("n, lam", [(3, 0.9), (6, 0.7), (30, 0.3)])
+    def test_one_panel_matches_quadpack(self, n, lam, monkeypatch):
+        # the head and the tail's remainder each pass on one 21-point panel,
+        # whose value and error estimate are QUADPACK's qk21 on that panel
+        space = ConeSpace(n, lam)
+        res = competitor_search(space)
+        _g_to_half_pi(space, res.delta)     # caches the cap-to-pi/2 constant
+        seen, quad = [], competitors.checked_quad
+
+        def recording_quad(*args):
+            seen.append(args)
+            return quad(*args)
+
+        monkeypatch.setattr(competitors, "checked_quad", recording_quad)
+        exp_profile_area(space, res.delta, res.alpha)
+        assert len(seen) == 2
+        for fn, lo, hi, abs_tol, rel_tol in seen:
+            val, err = _qk21(fn, lo, hi, ())
+            ref, ref_err, info = scipy.integrate.quad(fn, lo, hi, epsabs=abs_tol,
+                                                      epsrel=rel_tol, full_output=1)
+            assert info["last"] == 1
+            assert val == pytest.approx(ref, rel=1e-15, abs=0.0)
+            assert err == pytest.approx(ref_err, rel=1e-12, abs=0.0)
 
     def test_junction_continuity(self):
         f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)

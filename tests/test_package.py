@@ -25,19 +25,32 @@ def _quad_sites(tree):
             yield node
 
 
+def _scipy_names(tree):
+    """Every dotted scipy name a module reaches: attribute chains and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
 def test_every_quad_is_checked():
-    # the convergence policy lives in errors.checked_quad alone: no other
-    # code in the package calls scipy's quad or imports it by name
+    # the convergence policy lives in errors.checked_quad alone: no code in
+    # the package calls a quad or names scipy's quadrature or special functions
     src = Path(conelab.__file__).parent
-    helper = [node for node in ast.walk(ast.parse((src / "errors.py").read_text()))
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    helper = [node for node in ast.walk(trees["errors.py"])
               if isinstance(node, ast.FunctionDef) and node.name == "checked_quad"]
-    assert len(helper) == 1 and len(list(_quad_sites(helper[0]))) == 1
-    stray = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
-             for node in _quad_sites(ast.parse(path.read_text()))
-             if not (path.name == "errors.py"
-                     and helper[0].lineno <= node.lineno <= helper[0].end_lineno)]
+    assert len(helper) == 1
+    stray = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in _quad_sites(tree)]
     assert not stray
+    named = [f"{name}: {dotted}" for name, tree in trees.items()
+             for dotted in _scipy_names(tree)
+             if dotted.startswith(("scipy.integrate", "scipy.special"))]
+    assert not named
 
 
 # scipy subpackages that each cost a large share of start-up; the package
@@ -59,19 +72,24 @@ def _subpackages_after(code: str, tmp_path) -> set[str]:
 def test_scans_and_cli_load_no_scipy_subpackage(tmp_path):
     code = """
 import conelab
-from conelab import cli, competitors, phase
+from conelab import cli, competitors, phase, profiles
 from conelab.geometry import ConeSpace
 from conelab.profiles import LengthProfile
-LengthProfile.round_sphere()
+round_sphere = LengthProfile.round_sphere()
 phase.emit(phase.scan([3], [0.8, 0.95]), "csv", "scan.csv")
 phase.decide(ConeSpace(3, 0.9))
-competitors.competitor_search(ConeSpace(3, 0.9))
+space = ConeSpace(3, 0.9)
+res = competitors.competitor_search(space)
+competitors.exp_profile_area(space, res.delta, res.alpha)
+competitors.disk_profile(0.1, 0.3, round_sphere)
+profiles.s_functional(competitors.exp_profile(space, 0.01, 0.3), space)
 cli.main(["scan", "--n", "3", "4", "--lambda-points", "26", "--output", "cli.csv"])
+cli.main(["competitor", "--n", "4", "--lam", "0.8"])
 """
     assert _subpackages_after(code, tmp_path) == set()
 
 
-def test_oracle_loads_only_scipy_special(tmp_path):
+def test_oracle_loads_no_scipy_subpackage(tmp_path):
     code = """
 from conelab import shooting
 from conelab.geometry import ConeSpace
@@ -79,4 +97,4 @@ space = ConeSpace(2, 0.85)
 for H0, outcome in shooting.find_extending_shots(space):
     shooting.flux_consistency(space, H0, outcome)
 """
-    assert _subpackages_after(code, tmp_path) == {"scipy.special"}
+    assert _subpackages_after(code, tmp_path) == set()

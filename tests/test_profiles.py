@@ -1,12 +1,10 @@
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning
 
-from conelab.errors import QuadratureError, checked_quad
+from conelab.errors import AREA_TOL, QuadratureError, checked_quad
 from conelab.geometry import ConeSpace
 from conelab.profiles import LengthProfile, RadialProfile, graph_area, s_functional
 
@@ -119,11 +117,30 @@ class TestLengthProfile:
 
 def test_checked_quad():
     assert checked_quad(math.exp, 0.0, 1.0, 1e-12, 1e-12) == pytest.approx(math.e - 1.0,
-                                                                         rel=1e-14)
-    # a tolerance below rounding cannot be met: scipy warns, which the suite
-    # turns into an error, so silence it to see the check itself
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        with pytest.raises(QuadratureError) as info:
-            checked_quad(math.exp, 0.0, 1.0, 1e-30, 1e-30)
+                                                                         rel=1e-15)
+    # a tolerance below rounding cannot be met
+    with pytest.raises(QuadratureError) as info:
+        checked_quad(math.exp, 0.0, 1.0, 1e-30, 1e-30)
     assert info.value.residual > 100.0 * 1e-30 * (math.e - 1.0)
+
+
+class TestCheckedQuad:
+    def test_endpoint_singularity_converges_by_bisection(self):
+        assert checked_quad(lambda x: x ** -0.5, 0.0, 1.0, AREA_TOL, AREA_TOL) == \
+            pytest.approx(2.0, rel=1e-10, abs=0.0)
+
+    def test_more_than_240_panels_raises(self):
+        # about 1,600 periods of sin: 21 nodes per panel resolve a few each
+        with pytest.raises(QuadratureError) as info:
+            checked_quad(lambda x: math.sin(1e4 * x), 0.0, 1.0, AREA_TOL, AREA_TOL)
+        assert info.value.residual > 100.0 * AREA_TOL
+
+    @pytest.mark.parametrize("fn", [math.exp, lambda x: x ** -0.5])
+    def test_reversed_limits_negate(self, fn):
+        assert checked_quad(fn, 1.0, 0.0, AREA_TOL, AREA_TOL) == \
+            -checked_quad(fn, 0.0, 1.0, AREA_TOL, AREA_TOL)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_raises(self, value):
+        with pytest.raises(QuadratureError):
+            checked_quad(lambda x: value, 0.0, 1.0, 1e-10, 1e-10)

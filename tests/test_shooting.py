@@ -1,20 +1,19 @@
 import dataclasses
 import math
 import sys
-import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning, solve_ivp
+from scipy.integrate import solve_ivp
 
 from conelab import shooting
 from conelab.errors import NumericError, QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.phase import decide, threshold
-from conelab.profiles import s_functional
+from conelab.profiles import _adaptive_quad, s_functional
 from conelab.shooting import (OutcomeKind, ShootingOutcome, _theta_rhs,
                               barrier_certificate, barrier_margins, barrier_slope,
                               boundary_flux,
@@ -543,18 +542,18 @@ class TestBackwardShots:
             assert abs(area - flux) <= 1e-6 * flux
 
     def test_negative_area_raises(self):
-        # at (2, 0.995) plain s_functional misses f's boundary layer at
-        # theta = 0 and comes out near -9.3e-13 against a flux of 0.5; scipy's
-        # warning is silenced, as it is outside the test suite, to see that
-        # the negative value itself raises
+        # the guard on a nonnegative integrand's sum, met directly; at
+        # (2, 0.995) plain s_functional resolves f's boundary layer at theta = 0
+        # and agrees with the mesh area
+        with pytest.raises(QuadratureError, match="nonnegative"):
+            _adaptive_quad(lambda t: -1.0, 0.0, 1.0)
         space = ConeSpace(2, 0.995)
         hits = find_extending_shots(space)
         assert len(hits) == 3
-        for _, out in hits:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                with pytest.raises(QuadratureError, match="nonnegative"):
-                    s_functional(reconstruct_f(out, space), space)
+        for H0, out in hits:
+            area = flux_consistency(space, H0, out)[0]
+            assert s_functional(reconstruct_f(out, space), space) == pytest.approx(
+                area, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("n, lam", [(2, 0.995), (3, 0.93), (4, 0.85), (10, 0.59)])
     def test_hits_near_threshold(self, n, lam):
@@ -724,7 +723,7 @@ class TestFluxConsistency:
         space = ConeSpace(3, 0.9)
         H0, out = find_extending_shots(space, count=1)[0]
         monkeypatch.setattr(shooting, "AREA_TOL", 1e-30)
-        with pytest.raises(QuadratureError) as info:
+        with pytest.raises(QuadratureError, match="mesh") as info:
             flux_consistency(space, H0, out)
         assert 0.0 < info.value.residual < 1e-10
 
