@@ -139,12 +139,12 @@ def _cmd_shoot(args) -> int:
 
 def _cmd_competitor(args) -> int:
     space = ConeSpace(n=args.n, lam=args.lam)
-    if args.delta is not None and args.alpha is not None:
+    if args.delta is not None:   # main has checked that alpha is given too
         # exp_profile_area first: it rejects a junction outside (0, pi/2) x (0, 1)
         numeric = exp_profile_area(space, args.delta, args.alpha)
         delta, alpha, log_delta = args.delta, args.alpha, math.log(args.delta)
-        margin, log_gap = (float(v[0]) for v in _margin_and_log_gap(
-            space.n, np.array([space.lam]), math.log(alpha), log_delta, delta))
+        margin, log_gap = (float(v) for v in _margin_and_log_gap(
+            space.n, np.float64(space.lam), math.log(alpha), log_delta, delta))
     else:
         res = competitor_search(space)
         delta, alpha, log_delta = res.delta, res.alpha, res.log_delta
@@ -214,8 +214,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     _apply_config(args)
+    if args.command == "competitor" and (args.delta is None) != (args.alpha is None):
+        parser.error("competitor: give both --delta and --alpha, or neither")
     return _COMMANDS[args.command](args)
 
 

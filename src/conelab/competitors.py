@@ -199,7 +199,7 @@ class ExpCompetitor:
         return -math.log(self.alpha) / self.delta
 
 
-def _margin_and_log_gap(n: int, lams: np.ndarray, log_alpha, log_delta, delta, p_minus_2=None):
+def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=None):
     """(margin, log gap) of the competitor with junction (delta, alpha) at each lambda.
 
     The competitor is e^(-mu theta) on [0, delta], mu = -log(alpha)/delta,
@@ -222,8 +222,9 @@ def _margin_and_log_gap(n: int, lams: np.ndarray, log_alpha, log_delta, delta, p
     decides junctions far below the smallest double, and from
     p - 2 = D/(sqrt(n-1)(n lam + 2 sqrt(n-1))), given or formed from
     ``threshold_discriminant``, so it has D's exact sign; it is -inf where
-    p >= 2, where no competitor beats the cone.  Row i depends on row i's
-    inputs alone, so a one-row call gives a many-row call's row bit for bit.
+    p >= 2, where no competitor beats the cone.  Row i depends on row i's inputs
+    alone, so an ``np.float64`` lambda gives the array's row bit for bit; powers are
+    ``np.power`` and ``np.square``, as ``**`` on a NumPy scalar is C's pow, an ulp off.
     """
     root = math.sqrt(n - 1)
     p = n * lams / root
@@ -231,8 +232,8 @@ def _margin_and_log_gap(n: int, lams: np.ndarray, log_alpha, log_delta, delta, p
         # p log delta - 2 log delta would cancel every digit at log delta ~ -1e17
         p_minus_2 = threshold_discriminant(n, lams) / (root * (n * lams + 2.0 * root))
     an = np.exp(n * log_alpha)
-    x = (lams * delta / log_alpha) ** 2
-    margin = (an * np.sin(delta) ** p - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
+    x = np.square(lams * delta / log_alpha)
+    margin = (an * np.power(np.sin(delta), p) - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
     # log sin(delta) = log delta + log(sin(delta)/delta).  The ratio rounds
     # to 1 below delta ~ 2.6e-8, so flooring delta at 1e-300 (it underflows
     # to 0 below log delta ~ -745) leaves log sin(delta) = log delta there.
@@ -242,7 +243,7 @@ def _margin_and_log_gap(n: int, lams: np.ndarray, log_alpha, log_delta, delta, p
     log_gap = (p_minus_2 * log_delta + (2.0 + p_minus_2) * np.log(np.sin(delta) / delta)
                + n * log_alpha - np.log1p(-an) - log_x_rest
                + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
-    return margin, np.where(p_minus_2 < 0.0, log_gap, -np.inf)
+    return margin, np.where(p_minus_2 < 0.0, log_gap, -np.inf)[()]   # [()]: 0-d to np.float64
 
 
 def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
@@ -254,9 +255,8 @@ def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
     """
     if delta == 0.0:   # a junction that underflowed: x = 0 and sin(0)^p = 0
         return 0.0
-    margin, _ = _margin_and_log_gap(space.n, np.array([space.lam]), math.log(alpha),
-                                    math.log(delta), delta)
-    return float(margin[0])
+    return float(_margin_and_log_gap(space.n, np.float64(space.lam), math.log(alpha),
+                                     math.log(delta), delta)[0])
 
 
 def _log_sec(t: float) -> float:
@@ -404,7 +404,7 @@ class SearchResult:
 
 
 class Searches(NamedTuple):
-    """``search_competitors``' result: one entry per lambda in each array.
+    """``search_competitors``' result: per lambda, an array, or a NumPy scalar for one lambda.
 
     Where nothing is found, alpha, log_delta and margin still describe the
     closed-form junction.
@@ -452,30 +452,30 @@ def search_competitors(n: int, lams, disc=None, /) -> Searches:
     _JUNCTION_ALPHAS with the largest C and l = min(1.5 l*, log 0.3)
     (gap ~ |C|/2 below the cap), or the smallest normal delta where half
     that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.  disc is D, if known.
+    lams is a 1-d sequence or one ``np.float64``, which gives that row bit for bit.
     """
-    lams = np.asarray(lams, dtype=float)
+    lams = np.float64(lams)
     disc = threshold_discriminant(n, lams) if disc is None else disc
     root = math.sqrt(n - 1)
     # p - 2 free of cancellation, as _margin_and_log_gap forms it
     p_minus_2 = disc / (root * (n * lams + 2.0 * root))
     alpha_k, la_k, c_k = _junction_alpha(n)
-    below = p_minus_2 < 0.0      # p < 2: the exact sign of D
-    log_delta = np.full(lams.shape, _LOG_DELTA_CAP)
-    l_star = (c_k - 2.0 * np.log(lams[below]) + math.log(2.0)) / -p_minus_2[below]
+    # l* on every row, kept where p < 2 (the exact sign of D); D = 0 divides by 1, not 0
+    l_star = (c_k - 2.0 * np.log(lams) + math.log(2.0)) / (-p_minus_2 + (p_minus_2 == 0.0))
     ld = np.minimum(_JUNCTION_STRETCH * l_star, _LOG_DELTA_CAP)
     # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
-    log_delta[below] = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
+    ld = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
+    log_delta = np.where(p_minus_2 < 0.0, ld, _LOG_DELTA_CAP)[()]
     # delta underflows to 0.0 below log delta ~ -745, and the margin with it
     margin, log_gap = _margin_and_log_gap(n, lams, la_k, log_delta, np.exp(log_delta), p_minus_2)
-    return Searches(found=log_gap > 0.0, alpha=np.full(lams.shape, alpha_k),
+    return Searches(found=log_gap > 0.0, alpha=lams * 0.0 + alpha_k,   # alpha_k on every row
                     log_delta=log_delta, margin=margin, log_gap=log_gap)
 
 
 def competitor_search(space: ConeSpace) -> SearchResult:
-    """One row of ``search_competitors``, with the witness's delta and bound."""
-    s = search_competitors(space.n, [space.lam])
-    log_delta, margin, log_gap = float(s.log_delta[0]), float(s.margin[0]), float(s.log_gap[0])
-    return SearchResult(found=bool(s.found[0]), delta=float(np.exp(s.log_delta[0])),
-                        log_delta=log_delta, alpha=float(s.alpha[0]),
-                        bound=1.0 / space.n - margin, margin=margin, log_margin_gap=log_gap,
-                        evaluations=int(math.isfinite(log_gap)))
+    """``search_competitors`` on ``np.float64(lam)``, with the witness's delta and bound."""
+    found, alpha, log_delta, margin, log_gap = (
+        v.item() for v in search_competitors(space.n, np.float64(space.lam)))
+    return SearchResult(found=found, delta=float(np.exp(log_delta)), log_delta=log_delta,
+                        alpha=alpha, bound=1.0 / space.n - margin, margin=margin,
+                        log_margin_gap=log_gap, evaluations=int(math.isfinite(log_gap)))

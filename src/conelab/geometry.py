@@ -40,19 +40,19 @@ class ConeSpace:
 _EXACT_DISCRIMINANT = 1e-9
 
 
-def threshold_discriminant(n: int, lams) -> np.ndarray:
-    """D = (n lam)^2 - 4(n-1) per lambda of a 1-d sequence; D >= 0 iff lam >= lam*.
+def threshold_discriminant(n: int, lams):
+    """D = (n lam)^2 - 4(n-1) per lambda; D >= 0 iff lam >= lam*.
 
-    Every D has the sign of the exact value on the double lambda: near 0 it
-    is ((n a)^2 - 4(n-1) b^2) / b^2 on lam = a/b in integers, rounded once.
+    lams is a 1-d sequence, or one ``np.float64`` for one D.  Each D has the exact
+    sign: near 0 it is ((n a)^2 - 4(n-1) b^2) / b^2 on lam = a/b, rounded once.
     """
-    lams = np.asarray(lams, dtype=float)
+    lams = np.float64(lams)
     nl = n * lams
-    disc = nl * nl - 4.0 * (n - 1)
-    for i in np.flatnonzero(np.abs(disc) < _EXACT_DISCRIMINANT * (n - 1)):
-        a, b = float(lams[i]).as_integer_ratio()
-        disc[i] = ((n * a) ** 2 - 4 * (n - 1) * b * b) / (b * b)
-    return disc
+    disc = np.asarray(nl * nl - 4.0 * (n - 1))   # writable; 0-d for one lambda
+    near = np.abs(disc) < _EXACT_DISCRIMINANT * (n - 1)
+    disc[near] = [((n * a) ** 2 - 4 * (n - 1) * b * b) / (b * b)
+                  for a, b in map(float.as_integer_ratio, lams[near].tolist())]
+    return disc[()]
 
 
 def _check_radius(t: float) -> None:

@@ -518,7 +518,7 @@ def find_extending_shots(space: ConeSpace, count: int = 3):
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if threshold_discriminant(space.n, [space.lam])[0] >= 0.0:
+    if threshold_discriminant(space.n, np.float64(space.lam)) >= 0.0:
         return []
     hits = [_shoot_back(space, THETA_PAD * 10.0 ** -k) for k in range(count)]
     H0 = hits[0][0]

@@ -56,7 +56,7 @@ def stability_gap(lam: float, eta: TestFunctionEta) -> float:
     value certifies instability.  Depends on eta only through R/eps.
     """
     _check_lam(lam)
-    c = (1.0 - lam * lam) / (lam * lam)
+    c = (1.0 - lam * lam) / max(lam * lam, math.ulp(0.0))   # +inf where lam^2 underflows
     return c * eta.log_ratio - 2.0
 
 
@@ -91,7 +91,7 @@ def instability_certificate(lam: float) -> Optional[InstabilityCertificate]:
     _check_lam(lam)
     if lam == 1.0:
         return None
-    c = (1.0 - lam * lam) / (lam * lam)
+    c = (1.0 - lam * lam) / max(lam * lam, math.ulp(0.0))   # +inf where lam^2 underflows
     log_ratio = 2.0 / c + 1.0
     if log_ratio < 700.0:
         eps, R = 1.0, math.exp(log_ratio)

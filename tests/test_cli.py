@@ -129,6 +129,33 @@ def test_competitor_direct_mode_rechecks_the_search_witness(tmp_path, n, lam):
     assert report["log_margin_gap"] == pytest.approx(found["log_margin_gap"], rel=1e-12)
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--delta", "0.01"], {}), (["--alpha", "0.5"], {}),
+    ([], {"delta": 0.01}), (["--delta", "0.01"], {"lam": 0.8})])
+def test_competitor_rejects_a_lone_delta_or_alpha(tmp_path, capsys, flags, config):
+    # direct mode needs both; one alone, from a flag or the config, is a usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), "competitor", "--n", "3", "--lam", "0.9", *flags])
+    assert exit_info.value.code == 2
+    assert "--delta and --alpha" in capsys.readouterr().err
+
+
+def test_competitor_takes_the_pair_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5}))
+    main(["--config", str(cfg), "competitor", "--n", "2", "--lam", "0.9", "--delta", "0.001"])
+    out = capsys.readouterr().out
+    assert "delta: 0.001\n" in out and "alpha: 0.5\n" in out
+
+
+def test_stability_tiny_lambda(capsys):
+    # lam^2 underflows to 0 at 1e-200: the certificate of lam = 1e-160, not ZeroDivisionError
+    main(["stability", "--lam", "1e-200"])
+    assert "log(R/eps): 1  (gap inf)" in capsys.readouterr().out
+
+
 def test_stability_output(capsys):
     main(["stability", "--lam", "0.9"])
     out = capsys.readouterr().out

@@ -685,3 +685,54 @@ class TestSearch:
         switches = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
         assert switches == 1
         assert flags[0] and not flags[-1]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestScalarPath:
+    """One ``np.float64`` runs the array kernel and gives the array's row bit for bit."""
+
+    @staticmethod
+    def check(n, lams):
+        lams = np.asarray(lams, dtype=float)
+        rows, discs = search_competitors(n, lams), threshold_discriminant(n, lams)
+        for i, lam in enumerate(lams.tolist()):
+            one = search_competitors(n, np.float64(lam))
+            assert type(one.found) is np.bool_ and one.found == rows.found[i], (n, lam)
+            for field in ("alpha", "log_delta", "margin", "log_gap"):
+                value = getattr(one, field)
+                assert type(value) is np.float64, (n, lam, field)
+                assert _bits(value) == _bits(getattr(rows, field)[i]), (n, lam, field)
+            assert _bits(threshold_discriminant(n, np.float64(lam))) == _bits(discs[i])
+            res = competitor_search(ConeSpace(n, lam))
+            assert res.found == rows.found[i] and res.evaluations == int(np.isfinite(rows.log_gap[i]))
+            for got, want in [(res.alpha, rows.alpha[i]), (res.log_delta, rows.log_delta[i]),
+                              (res.margin, rows.margin[i]), (res.log_margin_gap, rows.log_gap[i]),
+                              (res.delta, np.exp(rows.log_delta[i])),
+                              (res.bound, 1.0 / n - rows.margin[i])]:
+                assert type(got) is float and _bits(got) == _bits(want), (n, lam)
+
+    def test_discriminant_exactly_zero(self):
+        # (2, 1.0): D = 0 exactly, so p = 2 and the junction is not checked
+        assert threshold_discriminant(2, np.float64(1.0)) == 0.0
+        self.check(2, [1.0])
+        assert competitor_search(ConeSpace(2, 1.0)).log_margin_gap == -math.inf
+
+    def test_at_and_just_below_threshold(self):
+        for n in list(range(2, 31)) + [50, 100, 200, 1000]:
+            star = 2 * math.sqrt(n - 1) / n
+            self.check(n, [star] + [star * (1 - k * 2.0 ** -52) for k in (1, 10, 10 ** 6)])
+
+    def test_underflowed_junction(self):
+        # delta = exp(log delta) is 0.0 in both forms; the logs carry the witness
+        for n, lam in [(2, 0.9999), (1000, 2 * math.sqrt(999) / 1000 * (1 - 2.0 ** -52))]:
+            self.check(n, [lam, 0.5])
+            res = competitor_search(ConeSpace(n, lam))
+            assert res.found and res.delta == 0.0 and res.log_delta < -745.0
+
+    @given(st.integers(2, 60), st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows(self, n, lams):
+        self.check(n, lams)

@@ -31,6 +31,9 @@ class TestThresholdDiscriminant:
             for lam, disc in zip(lams, threshold_discriminant(n, lams)):
                 exact = (n * Fraction(lam)) ** 2 - 4 * (n - 1)
                 assert disc == float(exact), (n, lam)
+                # one np.float64 gives one, with the same exact value
+                one = threshold_discriminant(n, np.float64(lam))
+                assert type(one) is np.float64 and one == float(exact), (n, lam)
 
     def test_float_value_away_from_threshold(self):
         lams = np.linspace(0.1, 1.0, 19)

@@ -83,6 +83,17 @@ class TestCertificate:
         assert critical_log_ratio(0.5) == pytest.approx(2.0 / 3.0)
         assert cert.log_ratio > critical_log_ratio(0.5)
 
+    @pytest.mark.parametrize("lam", [1e-200, 5e-324, 1.4e-162])
+    def test_underflowing_lambda_squared(self, lam):
+        # lam^2 rounds to 0: the result is the one lam = 1e-160 gives, where
+        # lam^2 is subnormal and (1 - lam^2)/lam^2 overflows to +inf
+        assert lam * lam == 0.0 and (1e-160 * 1e-160) > 0.0
+        cert, at_subnormal = instability_certificate(lam), instability_certificate(1e-160)
+        assert (cert.log_ratio, cert.gap) == (at_subnormal.log_ratio, at_subnormal.gap)
+        assert (cert.log_ratio, cert.gap) == (1.0, math.inf)
+        eta = TestFunctionEta(1.0, 10.0)
+        assert stability_gap(lam, eta) == stability_gap(1e-160, eta) == math.inf
+
     def test_near_one_reports_exponent(self):
         cert = instability_certificate(0.99)
         assert cert.log_ratio == pytest.approx(99.5, abs=0.1)
