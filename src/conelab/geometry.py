@@ -29,6 +29,8 @@ class ConeSpace:
     lam: float
 
     def __post_init__(self):
+        if not self.n % 1 == 0:   # NaN and inf too
+            raise ValueError(f"cross-section dimension must be an integer, got {self.n}")
         if self.n < 2:
             raise ValueError(f"cross-section dimension must be >= 2, got {self.n}")
         if not 0.0 < self.lam <= 1.0:

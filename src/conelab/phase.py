@@ -72,11 +72,11 @@ def decide(space: ConeSpace, mode: str = "certified") -> Decision:
 
     Certified mode produces a checkable witness: a barrier line whose margin
     is positive, or a competitor whose area bound drops below 1/n.  Both
-    certificates degenerate exactly on the threshold curve, where
-    Undetermined is possible.  Formula-only mode compares lambda against
-    the closed-form threshold.
+    signs are exact on the double lambda, so Undetermined comes only from a
+    certificate that raises a numeric failure.  Formula-only mode compares
+    lambda against the closed-form threshold.
     """
-    return _decide_block(space.n, np.array([space.lam]), mode)[0]
+    return _decide_block(space.n, np.float64(space.lam), mode)[0]
 
 
 # (verdict, certificate, diagnostics) of each path of a decision
@@ -91,23 +91,24 @@ _BARRIER, _COMPETITOR, _NEITHER, _ABOVE, _BELOW = range(5)
 _VERDICTS, _CERTIFICATES, _DIAGNOSTICS = np.array(_OUTCOMES, dtype=object).T
 
 
-def _decisions(path: np.ndarray, margins: np.ndarray) -> list[Decision]:
-    """One Decision per point, from its path code and its margin."""
+def _decisions(path, margins) -> list[Decision]:
+    """One Decision per point, from its path code and its margin (1-d, or 0-d for one)."""
+    path, margins = path.reshape(-1), margins.reshape(-1)
     return list(map(_new, repeat(Decision),
                     zip(_VERDICTS[path].tolist(), _CERTIFICATES[path].tolist(),
                         margins.tolist(), _DIAGNOSTICS[path].tolist())))
 
 
-def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
+def _decide_block(n: int, lams, mode: str) -> list[Decision]:
     """``decide`` for every lambda of one n at once, in the order given.
 
-    D is worked out once for the block, and both certificates take it.  A
-    barrier line wherever the exact D >= 0, that is wherever its slope c
-    exists, with the normalized margin; the closed-form competitor junction
-    on what it leaves, with its margin; Undetermined where that junction
-    fails its check.  If either certificate raises NumericError, ValueError
-    or ArithmeticError, the block is decided again one lambda at a time, so
-    only a lambda whose own decision raises becomes Undetermined, with the
+    lams is a 1-d array or one ``np.float64``, through one code path.  Every
+    row gets D, the barrier line's normalized margin (NaN where the exact
+    D < 0) and the closed-form competitor junction, then takes the barrier
+    where it exists, else the junction where its check passes, else
+    Undetermined.  If a certificate raises NumericError, ValueError or
+    ArithmeticError, a block is decided again one lambda at a time, so only
+    a lambda whose own decision raises becomes Undetermined, with the
     exception's message as diagnostics; other exceptions propagate.
     """
     if mode not in ("certified", "formula-only"):
@@ -118,20 +119,15 @@ def _decide_block(n: int, lams: np.ndarray, mode: str) -> list[Decision]:
     try:
         disc = threshold_discriminant(n, lams)
         barrier = barrier_margins(n, lams, disc)
-        path = np.where(np.isnan(barrier), _NEITHER, _BARRIER)
-        margins = np.where(path == _BARRIER, barrier, offsets)
-        rest = np.flatnonzero(path == _NEITHER)
-        if rest.size:
-            search = search_competitors(n, lams[rest], disc[rest])
-            found = rest[search.found]
-            path[found] = _COMPETITOR
-            margins[found] = search.margin[search.found]
+        search = search_competitors(n, lams, disc)
     except (NumericError, ValueError, ArithmeticError) as exc:  # the scan continues
         if lams.size > 1:  # decide again point by point: only the failing lambda downgrades
             return [d for i in range(lams.size) for d in _decide_block(n, lams[i:i + 1], mode)]
         return [Decision(verdict=Verdict.UNDETERMINED, certificate=None,
-                         margin=float(offsets[0]), diagnostics=str(exc))]
-    return _decisions(path, margins)
+                         margin=offsets.item(), diagnostics=str(exc))]
+    open_, found = np.isnan(barrier), search.found
+    path = np.where(open_, np.where(found, _COMPETITOR, _NEITHER), _BARRIER)
+    return _decisions(path, np.where(open_, np.where(found, search.margin, offsets), barrier))
 
 
 def _scan_block(args) -> list[ScanRecord]:
@@ -157,16 +153,16 @@ def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
     the worker count.  wall_time_ms is each n-block's time spread evenly
     over its points; set measure_time=False for byte-reproducible output.
     """
-    counts = Counter(int(n) for n in n_range)   # n -> times given, in first-seen order
+    counts = Counter(n_range)   # n -> times given, in first-seen order
     lams = np.fromiter(lambda_grid, dtype=float)
     if not counts or not lams.size:
         return []
     bad = np.flatnonzero(~((lams > 0.0) & (lams <= 1.0)))   # NaN too
     for n in counts:
-        # one ConeSpace per n: raises on n < 2, else on the first lambda outside (0, 1]
+        # one ConeSpace per n: raises on a bad n, else on the first lambda outside (0, 1]
         ConeSpace(n=n, lam=float(lams[bad[0] if bad.size else 0]))
     order = np.sort(lams)
-    blocks = [(n, np.repeat(order, k), mode, measure_time) for n, k in sorted(counts.items())]
+    blocks = [(int(n), np.repeat(order, k), mode, measure_time) for n, k in sorted(counts.items())]
     if parallelism > 1 and len(blocks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             parts = list(pool.map(_scan_block, blocks))

@@ -72,28 +72,28 @@ class BarrierCertificate:
 BARRIER_SAMPLES = 1000  # interior sample angles of barrier_certificate
 
 
-def _larger_roots(n: int, lams: np.ndarray, disc=None) -> np.ndarray:
+def _larger_roots(n: int, lams, disc=None):
     """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where the exact D < 0.
 
-    D = disc, or ``threshold_discriminant(n, lams)`` if None.
+    lams is a 1-d array, or one ``np.float64`` for one ``np.float64``.  D = disc, or
+    ``threshold_discriminant(n, lams)`` if None.  Every row takes the root of max(D, 0),
+    so a row with D < 0 raises no invalid-value warning.
     """
     disc = threshold_discriminant(n, lams) if disc is None else disc
-    real = disc >= 0.0
-    cs = np.full(lams.shape, np.nan)
-    cs[real] = (n * lams[real] + np.sqrt(disc[real])) / 2.0
-    return cs
+    return np.where(disc >= 0.0, (n * lams + np.sqrt(np.maximum(disc, 0.0))) / 2.0, np.nan)[()]
 
 
 def barrier_slope(space: ConeSpace) -> Optional[float]:
-    """One row of ``_larger_roots``: the larger root c, or None where the exact D < 0."""
-    c = float(_larger_roots(space.n, np.array([space.lam]))[0])
+    """``_larger_roots`` on ``np.float64(lam)``: the larger root c, or None where exact D < 0."""
+    c = float(_larger_roots(space.n, np.float64(space.lam)))
     return None if math.isnan(c) else c
 
 
-def barrier_margins(n: int, lams, disc=None, /) -> np.ndarray:
+def barrier_margins(n: int, lams, disc=None, /):
     """Normalized margin (n-1)(c^2-1)/(3c) of the barrier line of every lambda.
 
-    NaN where the exact D < 0 and no line exists; disc is D, if known.
+    NaN where the exact D < 0 and no line exists.  lams is a 1-d sequence or
+    one ``np.float64``, which gives that row bit for bit; disc is D, if known.
     Along H = c*theta the margin is m(theta) = H' - c = (n-1)(1/c - tan(theta)/tan(c*theta)).
     Every Taylor coefficient a_k of tan is positive (Abramowitz & Stegun
     4.3.67), so tan(c theta) - c tan(theta) = sum a_k (c^(2k+1) - c)
@@ -103,7 +103,7 @@ def barrier_margins(n: int, lams, disc=None, /) -> np.ndarray:
     proved lower bound on it (a 50-digit probe saw m(theta)/theta^2
     increase on every line it tried, but that is observed, not proved).
     """
-    cs = _larger_roots(n, np.asarray(lams, dtype=float), disc)
+    cs = _larger_roots(n, np.float64(lams), disc)
     return (n - 1) * (cs - 1.0) * (cs + 1.0) / (3.0 * cs)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,14 @@ class TestConeSpace:
             ConeSpace(3, 0.0)
         with pytest.raises(ValueError):
             ConeSpace(3, 1.5)
+
+    @pytest.mark.parametrize("n", [2.5, 3.000001, math.nan, math.inf, np.float64(4.5)])
+    def test_non_integral_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {n}")):
+            ConeSpace(n, 0.9)
+
+    def test_numpy_integer_dimension(self):
+        assert ConeSpace(np.int64(3), 0.9).n == 3
 
 
 class TestThresholdDiscriminant:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conelab.competitors import competitor_search
 from conelab.geometry import ConeSpace
 from conelab.phase import (Certificate, ScanRecord, Verdict, decide, emit,
                            empirical_threshold, parse_csv, scan, threshold)
+from conelab.shooting import barrier_slope
 
 
 class TestThreshold:
@@ -60,6 +62,26 @@ class TestDecide:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             decide(ConeSpace(3, 0.9), mode="oracle")
+
+    def test_numeric_failure_downgrades_one_lambda(self, monkeypatch):
+        def failing(n, lams, *disc):
+            raise ArithmeticError("no search")
+
+        monkeypatch.setattr(phase, "search_competitors", failing)
+        d = decide(ConeSpace(3, 0.9))
+        assert d.verdict is Verdict.UNDETERMINED
+        assert d.certificate is None
+        assert d.diagnostics == "no search"
+        assert d.margin == 0.9 - threshold(3)
+        assert type(d.margin) is float
+
+    def test_programming_error_propagates_from_one_lambda(self, monkeypatch):
+        def broken(n, lams, *disc):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(phase, "search_competitors", broken)
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            decide(ConeSpace(3, 0.9))
 
     def test_modes_agree_away_from_curve(self):
         for n in (2, 3, 4, 5):
@@ -128,6 +150,19 @@ class TestScan:
     def test_first_bad_lambda_named(self):
         with pytest.raises(ValueError, match="got 1.5"):
             scan([3, 4], [0.9, 1.5, -0.5])
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.5), math.nan])
+    def test_non_integral_dimension_rejected(self, n):
+        # not truncated to a row labelled int(n)
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {n}")):
+            scan([n], [0.9])
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {n}")):
+            scan([3, n], [0.9])
+
+    def test_numpy_integer_dimensions(self):
+        recs = scan(np.arange(2, 5), [0.9], measure_time=False)
+        assert recs == scan([2, 3, 4], [0.9], measure_time=False)
+        assert [type(r.n) for r in recs] == [int] * 3
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError, match="cross-section dimension must be >= 2"):
@@ -250,6 +285,39 @@ class TestScan:
             if n == 2:
                 continue  # no minimizing lambda strictly below 1 on this grid edge
             assert empirical_threshold(recs, n) == pytest.approx(target, abs=1e-3)
+
+
+def _edge_lambdas(n):
+    """lambda*, lambda* +- 10^-k for k = 2..14 and lambda*(1 +- k 2^-52) for k = 1, 10, 1e6."""
+    star = threshold(n)
+    lams = {star}
+    for k in range(2, 15):
+        lams.update((star - 10.0 ** -k, star + 10.0 ** -k))
+    for k in (1, 10, 10 ** 6):
+        lams.update((star * (1 - k * 2.0 ** -52), star * (1 + k * 2.0 ** -52)))
+    return sorted(lam for lam in lams if 0.0 < lam <= 1.0)
+
+
+_EDGE_NS = list(range(2, 31)) + [50, 100, 200, 1000]
+
+
+class TestNearThreshold:
+    def test_decide_is_its_scan_row(self):
+        # the one-lambda kernel and the block kernel agree bit for bit
+        def bits(d):
+            return d.verdict, d.certificate, d.margin.hex(), d.diagnostics
+
+        for n in _EDGE_NS:
+            for rec in scan([n], _edge_lambdas(n), measure_time=False):
+                d = decide(ConeSpace(n, rec.lam))
+                assert type(d.margin) is type(rec.decision.margin) is float
+                assert bits(d) == bits(rec.decision), (n, rec.lam)
+
+    def test_barrier_slope_exists_iff_exact_discriminant_nonnegative(self):
+        for n in _EDGE_NS:
+            for lam in _edge_lambdas(n):
+                negative = (n * Fraction(lam)) ** 2 < 4 * (n - 1)
+                assert (barrier_slope(ConeSpace(n, lam)) is None) == negative, (n, lam)
 
 
 class TestEmit:
