@@ -5,8 +5,8 @@ Two families: a catenoid neck glued to an exponentially decaying disk for
 profile for radial graphs in any dimension.  Each carries a closed-form area
 (or upper bound) plus a quadrature route.  The disk's tail exponent g is one
 quadrature in log t, ``_log_quad``; the spindle's is its exact log t leading
-term plus one quadrature of an analytic remainder in v = t^2 below
-theta = 0.3, ``_g_to_half_pi``.  Below the threshold one closed-form junction
+term plus an analytic remainder in v = t^2 below theta = 0.3, tabulated once
+per n, ``_g_to_half_pi``.  Below the threshold one closed-form junction
 per lambda gives a competitor whose normalized area drops below 1/n.
 """
 
@@ -16,6 +16,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -291,30 +292,65 @@ def _g_integrand(t: float, n: int) -> float:
 _DELTA_CAP = 0.3
 _LOG_DELTA_CAP = math.log(_DELTA_CAP)
 _V_CAP = _DELTA_CAP * _DELTA_CAP
+_MAX_DEGREE = 1024
+
+
+def _remainder(v: float, n: int) -> float:
+    """R_n(v) = (t g'(t) - lead)/(2v), t = sqrt(v), lead = 1/sqrt(n-1): see ``_g_to_half_pi``."""
+    t = math.sqrt(v)
+    return (t * _g_integrand(t, n) - 1.0 / math.sqrt(n - 1.0)) / (2.0 * v)
 
 
 @functools.cache
-def _g_cap_to_half_pi(n: int) -> float:
-    """Integral of _g_integrand from _DELTA_CAP to pi/2: a constant of n."""
-    return checked_quad(_g_integrand, _DELTA_CAP, HALF_PI, _TAIL_TOL, _TAIL_TOL, args=(n,))
+def _tail_table(n: int):
+    """(cap_n, coefficients), the two constants of n >= 3 in ``_g_to_half_pi``.
+
+    cap_n is g' integrated from s = _DELTA_CAP to pi/2.  The coefficients are the
+    Chebyshev series in x = 2v/s^2 - 1 of R_n's mean S_n(v) = int_v^{s^2} R_n / (s^2 - v)
+    at the Chebyshev-Lobatto points of degree 1, 2, 4, ...: a doubling keeps the
+    old nodes' integrals and adds one ``checked_quad`` from each new node up to
+    its neighbour above.  The first degree N whose last quarter of coefficients
+    is within N eps of the largest (the rounding plateau) ends it: 16 up to
+    n = 20, 32 at 30..100, 64 at 300, 128 at 1000.  None if none does by _MAX_DEGREE.
+    """
+    integral = functools.partial(checked_quad, abs_tol=_TAIL_TOL, rel_tol=_TAIL_TOL, args=(n,))
+    cap = integral(_g_integrand, _DELTA_CAP, HALF_PI)
+    # (v, R_n's integral from v to s^2), from v = s^2 (x = 1) down to 0
+    nodes = [(_V_CAP, 0.0), (0.0, integral(_remainder, 0.0, _V_CAP))]
+    while True:
+        deg = len(nodes) - 1
+        mean = np.array([_remainder(_V_CAP, n)] + [i / (_V_CAP - v) for v, i in nodes[1:]])
+        mean[[0, -1]] *= 0.5
+        # DCT-I: c_j = (2/N) sum'' S_k cos(pi jk/N), with jk reduced mod 2N
+        jk = np.outer(np.arange(deg + 1), np.arange(deg + 1)) % (2 * deg)
+        coeffs = (np.cos(np.pi / deg * np.arange(2 * deg))[jk] * mean).sum(axis=1) * (2.0 / deg)
+        coeffs[[0, -1]] *= 0.5
+        if np.abs(coeffs[3 * deg // 4:]).max() <= deg * 2.0**-52 * np.abs(coeffs).max():
+            return cap, tuple(coeffs.tolist())
+        if deg == _MAX_DEGREE:
+            return cap, None
+        vs = (0.5 * _V_CAP * (1.0 + math.cos(math.pi * (k + 0.5) / deg)) for k in range(deg))
+        new = [(v, i + integral(_remainder, v, v_up)) for v, (v_up, i) in zip(vs, nodes)]
+        nodes = [*chain.from_iterable(zip(nodes, new)), nodes[-1]]
 
 
 def _g_to_half_pi(space: ConeSpace, delta: float) -> float:
     """Integral of _g_integrand from delta to pi/2.
 
-    Split at s = _DELTA_CAP.  The integral from s to pi/2 depends on n
-    alone and is computed once per n.  Below s, sec^(2n-2) t is
-    even and analytic with series 1 + (n-1) t^2 + O(t^4), so
-    sec^(2n-2) t - 1 = (n-1) t^2 E(t^2) with E analytic, E(0) = 1 and E > 0
+    Split at s = _DELTA_CAP; from s to pi/2 it is ``_tail_table``'s cap_n.
+    Below s, sec^(2n-2) t is even and analytic with series 1 + (n-1) t^2 + O(t^4),
+    so sec^(2n-2) t - 1 = (n-1) t^2 E(t^2) with E analytic, E(0) = 1 and E >= 1
     on [0, s^2].  Then t g'(t) = lead / sqrt(E(t^2)), lead = 1/sqrt(n-1), is
     analytic in v = t^2, and
 
-        int_delta^s g' dt = lead log(s/delta) + int_{delta^2}^{s^2} (t g'(t) - lead)/(2v) dv
+        int_delta^s g' dt = lead log(s/delta) + int_{delta^2}^{s^2} R_n(v) dv
 
-    with t = sqrt(v).  The v-integrand is smooth and bounded on [0, s^2],
-    so any delta <= s costs one quad over about the same interval (21 nodes
-    up to n ~ 100); a delta^2 that underflows is a lower limit of 0.  For
-    delta > s it is one direct quad.  n = 2 has the closed form -log sin(delta).
+    with R_n = ``_remainder``, a function of n alone: the last term is
+    (s^2 - delta^2) S_n(delta^2), S_n from ``_tail_table`` (0 where delta^2
+    underflows), with no quadrature; an n without a table (above about 1e5)
+    integrates R_n per call.  The mean, unlike an antiderivative difference,
+    keeps its relative digits as delta nears s.  For delta > s it is one
+    direct quad.  n = 2 has the closed form -log sin(delta).
     """
     n = space.n
     if n == 2:
@@ -322,18 +358,20 @@ def _g_to_half_pi(space: ConeSpace, delta: float) -> float:
         return -math.log(math.sin(delta))
     if delta > _DELTA_CAP:
         return checked_quad(_g_integrand, delta, HALF_PI, _TAIL_TOL, _TAIL_TOL, args=(n,))
+    cap, coeffs = _tail_table(n)
     lead, v_lo = 1.0 / math.sqrt(n - 1.0), delta * delta
-
-    def remainder(v):
-        t = math.sqrt(v)
-        return (t * _g_integrand(t, n) - lead) / (2.0 * v)
-
-    # log(s/delta) = log(s^2/v_lo)/2 from the quad's own lower limit: near the
-    # cap the two terms cancel, and s^2 - v_lo is exact there
+    # log(s/delta) = log(s^2/v_lo)/2 from the remainder's own lower limit:
+    # near the cap the two terms cancel, and s^2 - v_lo is exact there
     log_ratio = (0.5 * math.log1p((_V_CAP - v_lo) / v_lo) if 2.0 * v_lo > _V_CAP
                  else _LOG_DELTA_CAP - math.log(delta))
-    return (log_ratio * lead + checked_quad(remainder, v_lo, _V_CAP, _TAIL_TOL, _TAIL_TOL)
-            + _g_cap_to_half_pi(n))
+    if coeffs is None:
+        rem = checked_quad(_remainder, v_lo, _V_CAP, _TAIL_TOL, _TAIL_TOL, args=(n,))
+    else:   # (s^2 - v_lo) S_n(v_lo), S_n's series summed by Clenshaw's recurrence
+        x, b1, b2 = 2.0 * v_lo / _V_CAP - 1.0, 0.0, 0.0
+        for c in coeffs[:0:-1]:
+            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        rem = (_V_CAP - v_lo) * (coeffs[0] + x * b1 - b2)
+    return log_ratio * lead + rem + cap
 
 
 def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
@@ -368,8 +406,9 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float) -> float:
     junction angles stay well conditioned; the tail telescopes exactly to
     (alpha^n - f(pi/2)^n)/n = -alpha^n expm1(-n lam g(pi/2))/n.  g(pi/2)
     splits at delta = 0.3, the cap on the search's junctions: the part above
-    it is a constant of n, integrated once per n, so a junction below the
-    cap costs one tail quad, in v = theta^2 up to 0.09 (see ``_g_to_half_pi``).
+    and a Chebyshev table of the part below are built once per n by quads
+    (``_tail_table``), so a junction below the cap costs one head quad and a
+    Clenshaw sum, within 1e-14 relative or 1e-16 absolute for n = 3..1000.
     """
     ExpCompetitor(space=space, delta=delta, alpha=alpha)   # validates the junction
     n, lam = space.n, space.lam

@@ -17,7 +17,7 @@ from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_i
                                  catenoid_residuals, competitor_search, disk_profile,
                                  exp_profile, exp_profile_area, exp_profile_margin,
                                  search_competitors, solve_catenoid)
-from conelab.errors import NumericError, QuadratureError, _qk21
+from conelab.errors import NumericError, QuadratureError, _qk21, checked_quad
 from conelab.geometry import ConeSpace, threshold_discriminant
 from conelab.profiles import LengthProfile, graph_area, s_functional
 
@@ -383,7 +383,7 @@ class TestExpArea:
     def test_unconverged_tail_raises(self, delta, monkeypatch):
         # below and above the 0.3 cap: a tolerance below rounding cannot be met
         monkeypatch.setattr(competitors, "_TAIL_TOL", 1e-30)
-        competitors._g_cap_to_half_pi.cache_clear()
+        competitors._tail_table.cache_clear()
         with pytest.raises(QuadratureError):
             _g_to_half_pi(ConeSpace(3, 0.9), delta)
 
@@ -486,9 +486,56 @@ class TestExpArea:
                         assert abs(_g_to_half_pi(space, delta) - exact) <= 1e-14 * exact, \
                             (n, delta)
 
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_tail_table_matches_mpmath_at_large_n(self, n):
+        # the table's degree grows with n (64 at 300, 128 at 1000), and near
+        # the cap g falls to 1e-21 at n = 1000, where the bound is absolute;
+        # against 60 digits summed from pi/2 down in tau = log t, as above
+        space = ConeSpace(n, 0.5)
+        deltas = (_DELTA_CAP, _DELTA_CAP * (1 - 1e-12), 0.2, 0.05, 1e-3, 1e-6, 1e-12, 1e-300)
+        with mpmath.workdps(60):
+            def dg_tau(tau):
+                t = mpmath.exp(tau)
+                log_sec = -mpmath.log1p(-2 * mpmath.sin(t / 2) ** 2)
+                return t / mpmath.sqrt(mpmath.expm1((2 * n - 2) * log_sec))
+
+            exact, hi = mpmath.mpf(0), mpmath.pi / 2
+            for delta in deltas:
+                lo = mpmath.mpf(delta)
+                piece, err = mpmath.quad(dg_tau, [mpmath.log(lo), mpmath.log(hi)],
+                                         error=True, maxdegree=5)
+                assert err < 1e-30
+                exact, hi = exact + piece, lo
+                diff = abs(_g_to_half_pi(space, delta) - exact)
+                assert diff <= 1e-14 * exact or diff <= 1e-16, (n, delta, float(diff))
+
+    def test_tail_table_matches_a_quad_on_search_junctions(self):
+        # g(pi/2) from the table against g rebuilt with a quad of the
+        # remainder taken here, on the junctions the search returns over a
+        # lambda grid for n = 3..6 (a junction that underflowed has no area)
+        for n in (3, 4, 5, 6):
+            lead, cap = 1.0 / math.sqrt(n - 1), competitors._tail_table(n)[0]
+
+            def remainder(v):
+                t = math.sqrt(v)
+                return (t * _g_integrand(t, n) - lead) / (2.0 * v)
+
+            star = 2 * math.sqrt(n - 1) / n
+            for lam in np.linspace(0.05, star, 101)[:-1]:
+                space = ConeSpace(n, float(lam))
+                res = competitor_search(space)
+                if res.delta == 0.0:
+                    continue
+                v_lo, v_cap = res.delta ** 2, _DELTA_CAP ** 2
+                ref = (0.5 * lead * math.log(v_cap / v_lo) + cap
+                       + checked_quad(remainder, v_lo, v_cap, 1e-12, 1e-12))
+                got = _g_to_half_pi(space, res.delta)
+                assert abs(got - ref) <= 1e-15 * ref, (n, lam, got, ref)
+
     def test_tail_above_cap_integrated_once_per_n(self, monkeypatch):
-        # after the first area at n = 4, a second junction below the cap
-        # makes two quads: the head and the tail's remainder below the cap
+        # n = 4's first area builds cap_n and the table, one quad for each
+        # node below the cap; a second junction makes one quad, the head's;
+        # clearing the cache builds both again, to the same area
         calls = []
         quad = competitors.checked_quad
 
@@ -497,24 +544,34 @@ class TestExpArea:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(competitors, "checked_quad", counting_quad)
-        competitors._g_cap_to_half_pi.cache_clear()
+        competitors._tail_table.cache_clear()
         space = ConeSpace(4, 0.8)
         first = exp_profile_area(space, 1e-5, 0.5)
-        assert len(calls) == 3 and (_DELTA_CAP, HALF_PI) in calls
+        degree = len(competitors._tail_table(4)[1]) - 1
+        assert calls.count((_DELTA_CAP, HALF_PI)) == 1 and len(calls) == 2 + degree
         calls.clear()
         exp_profile_area(space, 0.01, 0.3)
-        assert len(calls) == 2 and (_DELTA_CAP, HALF_PI) not in calls
+        assert calls == [(0.0, 1.0)]
         calls.clear()
-        competitors._g_cap_to_half_pi.cache_clear()
+        competitors._tail_table.cache_clear()
         assert exp_profile_area(space, 1e-5, 0.5) == first
-        assert len(calls) == 3
+        assert len(calls) == 2 + degree
 
-    @pytest.mark.parametrize("n", [3, 6, 30])
-    def test_tail_below_cap_is_one_21_node_quad(self, n, monkeypatch):
-        # in v = t^2 the remainder below the cap is analytic on [0, 0.09]:
-        # one Gauss-Kronrod rule, whatever the junction
+    def test_tail_without_a_table_at_huge_n(self):
+        # at n = 1e6 the series has not settled by _MAX_DEGREE, so g below the
+        # cap is one quad per call, as before the table, and stays defined
+        n = 10**6
+        assert competitors._tail_table(n)[1] is None
+        for delta in (_DELTA_CAP, 1e-3, 1e-300):
+            g = _g_to_half_pi(ConeSpace(n, 0.5), delta)
+            assert 0.0 <= g < -math.log(math.sin(delta)) / math.sqrt(n - 1), delta
+
+    @pytest.mark.parametrize("n", [3, 6, 30, 1000])
+    def test_tail_below_cap_makes_no_quad(self, n, monkeypatch):
+        # once n's table exists, g below the cap is a Clenshaw sum: no
+        # quadrature and no evaluation of g', whatever the junction
         space = ConeSpace(n, 0.5)
-        _g_to_half_pi(space, 1e-3)     # caches the cap-to-pi/2 constant
+        _g_to_half_pi(space, 1e-3)     # builds n's table
         quads, nodes = [], []
         quad, integrand = competitors.checked_quad, competitors._g_integrand
 
@@ -528,19 +585,17 @@ class TestExpArea:
 
         monkeypatch.setattr(competitors, "checked_quad", counting_quad)
         monkeypatch.setattr(competitors, "_g_integrand", counting_integrand)
-        for delta in (1e-3, 1e-6, 1e-12, 1e-300):
-            quads.clear()
-            nodes.clear()
+        for delta in (_DELTA_CAP, 0.2, 1e-3, 1e-6, 1e-12, 1e-300):
             _g_to_half_pi(space, delta)
-            assert len(quads) == 1 and len(nodes) == 21, (delta, len(quads), len(nodes))
+            assert not quads and not nodes, (delta, quads, len(nodes))
 
     @pytest.mark.parametrize("n, lam", [(3, 0.9), (6, 0.7), (30, 0.3)])
     def test_one_panel_matches_quadpack(self, n, lam, monkeypatch):
-        # the head and the tail's remainder each pass on one 21-point panel,
-        # whose value and error estimate are QUADPACK's qk21 on that panel
+        # the head passes on one 21-point panel, whose value and error
+        # estimate are QUADPACK's qk21 on that panel; the tail makes no quad
         space = ConeSpace(n, lam)
         res = competitor_search(space)
-        _g_to_half_pi(space, res.delta)     # caches the cap-to-pi/2 constant
+        _g_to_half_pi(space, res.delta)     # builds n's table
         seen, quad = [], competitors.checked_quad
 
         def recording_quad(*args):
@@ -549,7 +604,7 @@ class TestExpArea:
 
         monkeypatch.setattr(competitors, "checked_quad", recording_quad)
         exp_profile_area(space, res.delta, res.alpha)
-        assert len(seen) == 2
+        assert len(seen) == 1
         for fn, lo, hi, abs_tol, rel_tol in seen:
             val, err = _qk21(fn, lo, hi, ())
             ref, ref_err, info = scipy.integrate.quad(fn, lo, hi, epsabs=abs_tol,

@@ -54,13 +54,14 @@ def test_every_quad_is_checked():
 
 
 # scipy subpackages that each cost a large share of start-up; the package
-# imports bare scipy and reaches them by attribute, so each loads on first use
+# imports bare scipy and reaches them by attribute, so each loads on first use.
+# numpy.polynomial too: import numpy leaves it unloaded, and it costs ~7 ms
 _SUBPACKAGES = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.interpolate",
-                "scipy.linalg")
+                "scipy.linalg", "numpy.polynomial")
 
 
 def _subpackages_after(code: str, tmp_path) -> set[str]:
-    """The scipy subpackages a fresh interpreter holds after running code."""
+    """The _SUBPACKAGES a fresh interpreter holds after running code."""
     src = str(Path(conelab.__file__).parents[1])
     script = (f"import sys\nsys.path.insert(0, {src!r})\n{code}\n"
               f"print('loaded', *(m for m in {_SUBPACKAGES!r} if m in sys.modules))")
