@@ -10,15 +10,14 @@ monotonicity of density ratios.
 
 from types import ModuleType as _ModuleType
 
-from .competitors import (CatenoidParams, ExpCompetitor, SearchResult,
-                          catenoid_area_closed_form, catenoid_profile,
-                          competitor_search, disk_profile, exp_profile,
-                          exp_profile_area, exp_profile_margin, solve_catenoid)
+from .competitors import (CatenoidParams, SearchResult, catenoid_area_closed_form,
+                          competitor_search, disk_profile, exp_profile_area,
+                          exp_profile_margin, solve_catenoid)
 from .errors import NumericError, QuadratureError
 from .geometry import (ConeSpace, ExactCone, RevolutionSurface, cone_ricci,
                        cone_sectional, density_ratio, equator_cone, hyperplane,
                        sphere_area, threshold_discriminant, unit_ball_volume)
-from .profiles import LengthProfile, RadialProfile, graph_area, s_functional
+from .profiles import LengthProfile, RadialProfile, s_functional
 from .phase import (Certificate, Decision, ScanRecord, Verdict, decide,
                     emit, empirical_threshold, parse_csv, scan, threshold)
 from .shooting import (BarrierCertificate, OutcomeKind, ShootingOutcome,

@@ -2,9 +2,11 @@
 
 Two families: a catenoid neck glued to an exponentially decaying disk for
 2-dimensional surfaces, and an exponential spindle glued to an integral
-profile for radial graphs in any dimension.  Each carries a closed-form area
-(or upper bound) plus a quadrature route.  The disk's tail exponent g is one
-quadrature in log t, ``_log_quad``; the spindle's is its exact log t leading
+profile for radial graphs in any dimension.  The catenoid patch's area is a
+boundary-term closed form and the disk's telescopes to its tail exponent g,
+one quadrature in log t, ``_log_quad``.  The spindle carries a closed-form
+bound, ``exp_profile_margin``, and its area by quadrature,
+``exp_profile_area``, whose tail exponent is its exact log t leading
 term plus an analytic remainder in v = t^2 below theta = 0.3, tabulated once
 per n, ``_g_to_half_pi``.  Below the threshold one closed-form junction
 per lambda gives a competitor whose normalized area drops below 1/n.
@@ -108,29 +110,6 @@ def solve_catenoid(delta: float, alpha: float) -> Optional[CatenoidParams]:
     return CatenoidParams(delta=delta, alpha=alpha, a=a, b=a * math.acosh(1.0 / a))
 
 
-def catenoid_profile(params: CatenoidParams) -> RadialProfile:
-    """Profile f(t) on [0, delta] solving f cos t = a cosh((f sin t - b)/a).
-
-    Left side minus right is -1 at f = 0 (by r1), and at f = b / sin t it is
-    b cot t - a >= c - a > 0; at f = 2 <= b / sin t it is at least 2 cos t - 1 > 0,
-    as cosh's argument is in [-b/a, 0] up to f = b / sin t.  Its f-derivative
-    cos t - sin t sinh((f sin t - b)/a) is at least cos t > 0 there: one root.
-    """
-    a, b = params.a, params.b
-
-    def implicit(f, t):
-        return f * math.cos(t) - a * math.cosh((f * math.sin(t) - b) / a)
-
-    def jet(t):
-        f = 1.0 if t <= 0.0 else scipy.optimize.brentq(
-            implicit, 0.0, min(2.0, b / math.sin(t)), args=(t,), xtol=1e-15)
-        sh = math.sinh((f * math.sin(t) - b) / a)
-        return f, (f * (math.sin(t) + sh * math.cos(t))
-                   / (math.cos(t) - sh * math.sin(t)))
-
-    return RadialProfile(lo=0.0, hi=params.delta, eval=jet)
-
-
 def catenoid_area_closed_form(params: CatenoidParams, L0: float) -> float:
     """Boundary-term evaluation of the catenoid patch area."""
     a, alpha, delta = params.a, params.alpha, params.delta
@@ -180,25 +159,6 @@ def disk_profile(delta: float, alpha: float, L: LengthProfile):
 # ---------------------------------------------------------------------------
 # exponential + integral-profile family (radial graphs, any dimension)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpCompetitor:
-    """Piecewise graph e^(-mu*theta) glued at delta to alpha*e^(-lam*g(theta))."""
-
-    space: ConeSpace
-    delta: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < HALF_PI:
-            raise ValueError(f"junction angle must lie in (0, pi/2), got {self.delta}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"junction value must lie in (0, 1), got {self.alpha}")
-
-    @property
-    def mu(self) -> float:
-        return -math.log(self.alpha) / self.delta
-
 
 def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=None):
     """(margin, log gap) of the competitor with junction (delta, alpha) at each lambda.
@@ -374,43 +334,24 @@ def _g_to_half_pi(space: ConeSpace, delta: float) -> float:
     return log_ratio * lead + rem + cap
 
 
-def exp_profile(space: ConeSpace, delta: float, alpha: float) -> RadialProfile:
-    """The assembled piecewise competitor profile on [0, pi/2].
-
-    The tail's g(theta) is G(delta) - G(theta), G = ``_g_to_half_pi``.  A
-    junction so small that mu = -log(alpha)/delta overflows raises ``ValueError``.
-    """
-    mu = ExpCompetitor(space=space, delta=delta, alpha=alpha).mu
-    if math.isinf(mu):
-        raise ValueError(f"mu = -log(alpha)/delta overflows at (delta, alpha) = {(delta, alpha)}")
-    n, lam = space.n, space.lam
-
-    def head_jet(th):
-        f = math.exp(-mu * th)
-        return f, -mu * f
-
-    g_delta = _g_to_half_pi(space, delta)
-
-    def tail_jet(th):
-        f = alpha * math.exp(-lam * (g_delta - _g_to_half_pi(space, min(th, HALF_PI))))
-        return f, -lam * f * _g_integrand(th, n)
-
-    return RadialProfile.piecewise([RadialProfile(lo=0.0, hi=delta, eval=head_jet),
-                                    RadialProfile(lo=delta, hi=HALF_PI, eval=tail_jet)])
-
-
 def exp_profile_area(space: ConeSpace, delta: float, alpha: float) -> float:
-    """Normalized area of the assembled competitor, by quadrature.
+    """Normalized area of the competitor with junction (delta, alpha), by quadrature.
 
-    The head is integrated in the scaled variable u = theta/delta so tiny
-    junction angles stay well conditioned; the tail telescopes exactly to
+    The competitor is e^(-mu theta), mu = -log(alpha)/delta, on [0, delta],
+    glued to alpha e^(-lam g(theta)) on [delta, pi/2].  A junction outside
+    (0, pi/2) x (0, 1) raises ``ValueError``.  The head is integrated in the
+    scaled variable u = theta/delta, which never forms mu, so tiny junction
+    angles stay well conditioned; the tail telescopes exactly to
     (alpha^n - f(pi/2)^n)/n = -alpha^n expm1(-n lam g(pi/2))/n.  g(pi/2)
     splits at delta = 0.3, the cap on the search's junctions: the part above
     and a Chebyshev table of the part below are built once per n by quads
     (``_tail_table``), so a junction below the cap costs one head quad and a
     Clenshaw sum, within 1e-14 relative or 1e-16 absolute for n = 3..1000.
     """
-    ExpCompetitor(space=space, delta=delta, alpha=alpha)   # validates the junction
+    if not 0.0 < delta < HALF_PI:
+        raise ValueError(f"junction angle must lie in (0, pi/2), got {delta}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"junction value must lie in (0, 1), got {alpha}")
     n, lam = space.n, space.lam
     log_alpha = math.log(alpha)
 

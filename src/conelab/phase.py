@@ -25,8 +25,8 @@ from .geometry import ConeSpace, threshold_discriminant
 from .shooting import barrier_certificate, barrier_margins  # noqa: F401
 
 # competitor_search and barrier_certificate, the single-point forms of the
-# certificates, are not called here; they stay phase attributes for callers
-# that import or patch them through this module.
+# certificates, are not called here; they stay phase attributes because
+# bench/tracing.py's SITES patches them through this module.
 
 
 class Verdict(Enum):

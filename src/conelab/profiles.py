@@ -1,25 +1,22 @@
 """Radial profiles of rotationally symmetric hypersurfaces and their areas.
 
-Two area functionals are provided: the graph-over-cross-section area of a
-2-dimensional surface of revolution in a 3-dimensional cone, and the
-normalized area of a radial graph over the polar angle in the cone over
-``S^n(lambda)``.  Both sum one checked quadrature per segment between the
-profile's declared breakpoints, to the package's area tolerance.
+``LengthProfile`` holds the level-set lengths that the catenoid + disk
+family's disk is built over.  ``s_functional`` is the normalized area of a
+radial graph over the polar angle in the cone over ``S^n(lambda)``: one
+checked quadrature per segment between the profile's declared breakpoints,
+to the package's area tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import AREA_TOL, QuadratureError, checked_quad
 from .geometry import ConeSpace
-
-_CONTINUITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,29 +43,6 @@ class RadialProfile:
 
     def __call__(self, x: float) -> float:
         return self.eval(x)[0]
-
-    @classmethod
-    def constant(cls, value: float, lo: float = 0.0, hi: float = math.pi / 2.0) -> "RadialProfile":
-        if value <= 0.0:
-            raise ValueError("profile values must be positive")
-        return cls(lo=lo, hi=hi, eval=lambda x: (value, 0.0))
-
-    @classmethod
-    def piecewise(cls, pieces: Sequence["RadialProfile"]) -> "RadialProfile":
-        """Concatenate adjacent profiles; values must match at the junctions."""
-        pieces = sorted(pieces, key=lambda p: p.lo)
-        for left, right in zip(pieces, pieces[1:]):
-            if abs(left.hi - right.lo) > _CONTINUITY_TOL:
-                raise ValueError("pieces do not tile the domain")
-            gap = abs(left(left.hi) - right(right.lo))
-            if gap > _CONTINUITY_TOL * max(1.0, abs(left(left.hi))):
-                raise ValueError(f"profile discontinuous at {left.hi}: gap {gap:.3e}")
-        junctions = [p.hi for p in pieces[:-1]]
-        breaks = junctions + [b for p in pieces for b in p.breakpoints]
-        # a junction belongs to the piece on its right
-        return cls(lo=pieces[0].lo, hi=pieces[-1].hi,
-                   eval=lambda x: pieces[bisect_right(junctions, x)].eval(x),
-                   breakpoints=tuple(sorted(set(breaks))))
 
 
 @dataclass(frozen=True)
@@ -122,18 +96,6 @@ def _adaptive_quad(fn, lo, hi, points=()):
         raise QuadratureError(f"quadrature of a nonnegative integrand gave {val:.3e}",
                               residual=-val)
     return val
-
-
-def graph_area(f: RadialProfile, L: LengthProfile) -> float:
-    """Area of the surface of revolution r = f(t) in a 3-dimensional cone.
-
-    Integrates f(t) L(t) sqrt(f'(t)^2 + f(t)^2) over the profile domain.
-    """
-    def integrand(t):
-        v, dv = f.eval(t)
-        return v * L(t) * math.hypot(dv, v)
-
-    return _adaptive_quad(integrand, f.lo, min(f.hi, L.hi), points=f.breakpoints)
 
 
 def s_functional(f: RadialProfile, space: ConeSpace) -> float:

@@ -26,7 +26,7 @@ from .errors import AREA_TOL, NumericError, QuadratureError, checked_quad
 from .geometry import ConeSpace, threshold_discriminant
 from .profiles import RadialProfile
 # not called here since flux_consistency integrates the mesh itself; kept as a
-# module attribute for callers that patch through this module
+# module attribute because bench/tracing.py's SITES patches shooting.s_functional
 from .profiles import s_functional  # noqa: F401
 
 HALF_PI = math.pi / 2.0
@@ -453,9 +453,10 @@ def reconstruct_f(outcome: ShootingOutcome, space: ConeSpace) -> RadialProfile:
     Only trajectories that stay off the floor reconstruct a graph; beyond the
     recorded end the profile is continued by its final value (the derivative
     there is O(pad), which is below quadrature tolerance for the uses here).
-    Each (f, f') pair evaluates ``dense`` once at one theta, for pointwise
-    use and for checking ``flux_consistency``, which integrates the area on
-    the integrator's own steps instead.
+    Each (f, f') pair evaluates ``dense`` once at one theta.  No command
+    calls it: the tests take ``s_functional`` of this profile as the
+    reference for ``flux_consistency``, which integrates the area on the
+    integrator's own steps instead, and bench/tracing.py's SITES patches it.
     """
     dense = _graph_dense(outcome)
     lam = space.lam
@@ -579,8 +580,8 @@ def flux_consistency(space: ConeSpace, H0: float, outcome: ShootingOutcome):
     The area is integrated on the accepted steps of the outcome's own
     integrator, whose mesh already resolves f, including its boundary layer
     at theta = 0 when H0 is tiny; ``_mesh_area`` bounds the gap between two
-    Gauss rules on that mesh.  It agrees with ``s_functional`` on
-    ``reconstruct_f``'s profile wherever that quadrature resolves f.
+    Gauss rules on that mesh.  The tests check it against ``s_functional``
+    on ``reconstruct_f``'s profile wherever that quadrature resolves f.
     """
     area = _mesh_area(space, _graph_dense(outcome), float(outcome.log_fs[-1]))
     flux = boundary_flux(initial_slope(H0, space), space)

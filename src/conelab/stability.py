@@ -18,6 +18,11 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"cross-section radius must be in (0, 1], got {lam}")
 
 
+def _curvature_ratio(lam: float) -> float:
+    """(1 - lam^2)/lam^2, the curvature term's coefficient; +inf where lam^2 underflows."""
+    return (1.0 - lam * lam) / max(lam * lam, math.ulp(0.0))
+
+
 @dataclass(frozen=True)
 class TestFunctionEta:
     """Radial cutoff: r/eps on [0, eps], 1 on (eps, R], 2 - r/R on (R, 2R], 0 beyond."""
@@ -56,8 +61,7 @@ def stability_gap(lam: float, eta: TestFunctionEta) -> float:
     value certifies instability.  Depends on eta only through R/eps.
     """
     _check_lam(lam)
-    c = (1.0 - lam * lam) / max(lam * lam, math.ulp(0.0))   # +inf where lam^2 underflows
-    return c * eta.log_ratio - 2.0
+    return _curvature_ratio(lam) * eta.log_ratio - 2.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ def instability_certificate(lam: float) -> Optional[InstabilityCertificate]:
     _check_lam(lam)
     if lam == 1.0:
         return None
-    c = (1.0 - lam * lam) / max(lam * lam, math.ulp(0.0))   # +inf where lam^2 underflows
+    c = _curvature_ratio(lam)
     log_ratio = 2.0 / c + 1.0
     if log_ratio < 700.0:
         eps, R = 1.0, math.exp(log_ratio)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -11,18 +10,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import competitors
-from conelab.competitors import (_DELTA_CAP, CatenoidParams, ExpCompetitor, _g_integrand,
-                                 _g_to_half_pi, _log_sec, _margin_and_log_gap,
-                                 catenoid_area_closed_form, catenoid_profile,
+from conelab.competitors import (_DELTA_CAP, CatenoidParams, _g_integrand, _g_to_half_pi,
+                                 _log_sec, _margin_and_log_gap, catenoid_area_closed_form,
                                  catenoid_residuals, competitor_search, disk_profile,
-                                 exp_profile, exp_profile_area, exp_profile_margin,
-                                 search_competitors, solve_catenoid)
+                                 exp_profile_area, exp_profile_margin, search_competitors,
+                                 solve_catenoid)
 from conelab.errors import NumericError, QuadratureError, _qk21, checked_quad
 from conelab.geometry import ConeSpace, threshold_discriminant
-from conelab.profiles import LengthProfile, graph_area, s_functional
+from conelab.profiles import LengthProfile, RadialProfile, s_functional
 
 HALF_PI = math.pi / 2
 L0 = 2 * math.pi
+
+
+def catenoid_jet(p, t):
+    """(f, f') at t of the patch f cos t = a cosh((f sin t - b)/a), f by brentq.
+
+    Left side minus right is -1 at f = 0 (by r1) and positive at
+    f = min(2, b / sin t), where cosh's argument is in [-b/a, 0]; its
+    f-derivative is at least cos t > 0 there: one root in the bracket.
+    """
+    a, b = p.a, p.b
+    f = 1.0 if t <= 0.0 else scipy.optimize.brentq(
+        lambda f: f * math.cos(t) - a * math.cosh((f * math.sin(t) - b) / a),
+        0.0, min(2.0, b / math.sin(t)), xtol=1e-15)
+    sh = math.sinh((f * math.sin(t) - b) / a)
+    return f, f * (math.sin(t) + sh * math.cos(t)) / (math.cos(t) - sh * math.sin(t))
+
+
+def surface_area(jet, lo, hi):
+    """Area of the surface of revolution r = f(t), t in [lo, hi], over the round sphere.
+
+    The integrand f L hypot(f', f), L = 2 pi cos t, by mpmath's tanh-sinh rule.
+    """
+    length = LengthProfile.round_sphere()
+
+    def integrand(t):
+        f, df = jet(float(t))
+        return f * length(float(t)) * math.hypot(df, f)
+
+    return float(mpmath.quad(integrand, [lo, hi]))
 
 
 def assert_valid_catenoid(p, delta, alpha):
@@ -62,7 +89,7 @@ class TestCatenoid:
         for delta, alpha in ((0.01, 0.5), (0.01, 0.05), (0.5, 0.3)):
             p = solve_catenoid(delta, alpha)
             closed = catenoid_area_closed_form(p, L0)
-            quad = graph_area(catenoid_profile(p), LengthProfile.round_sphere())
+            quad = surface_area(lambda t: catenoid_jet(p, t), 0.0, delta)
             assert quad == pytest.approx(closed, rel=1e-8), (delta, alpha)
 
     def test_degenerate_neck_limit(self):
@@ -132,35 +159,6 @@ class TestCatenoid:
         with pytest.raises(NumericError):
             solve_catenoid(delta, alpha)
 
-    def test_one_solve_per_node(self, monkeypatch):
-        # f and f' come from one brentq solve per integrand node; the one
-        # more is the junction's own solve
-        solves, nodes = [0], [0]
-        brentq = scipy.optimize.brentq
-
-        def counted_brentq(*args, **kwargs):
-            solves[0] += 1
-            return brentq(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
-        f = catenoid_profile(solve_catenoid(0.01, 0.5))
-        jet = f.eval
-
-        def counted_jet(t):
-            nodes[0] += 1
-            return jet(t)
-
-        graph_area(dataclasses.replace(f, eval=counted_jet), LengthProfile.round_sphere())
-        assert 0 < solves[0] <= nodes[0] + 1, (solves, nodes)
-
-    def test_profile_endpoints(self):
-        p = solve_catenoid(0.01, 0.5)
-        f = catenoid_profile(p)
-        assert f(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert f(5e-324) == pytest.approx(1.0, abs=1e-12)   # b / sin t overflows here
-        assert f(0.01) * math.cos(0.01) == pytest.approx(
-            p.a * math.cosh((f(0.01) * math.sin(0.01) - p.b) / p.a), abs=1e-12)
-
 
 class TestDisk:
     TINY_DELTAS = (0.3, 1e-2, 1e-4, 1e-6, 1e-9)
@@ -186,7 +184,7 @@ class TestDisk:
 
     def test_quadrature_matches_closed_form(self):
         profile, area = disk_profile(0.1, 0.5, LengthProfile.round_sphere())
-        quad = graph_area(profile, LengthProfile.round_sphere())
+        quad = surface_area(profile.eval, 0.1, HALF_PI)
         assert quad == pytest.approx(area, abs=1e-10)
 
     def test_quadratic_defect_bound(self):
@@ -365,6 +363,25 @@ class TestBoundProof:
             assert g < float(bound)
 
 
+def assembled_competitor(space, delta, alpha):
+    """The competitor e^(-mu theta) | alpha e^(-lam g(theta)) as one profile, breakpoint delta.
+
+    The tail's g(theta) is G(delta) - G(theta), G = ``_g_to_half_pi``; the
+    junction belongs to the tail.
+    """
+    n, lam, mu = space.n, space.lam, -math.log(alpha) / delta
+    g_delta = _g_to_half_pi(space, delta)
+
+    def jet(th):
+        if th < delta:
+            f = math.exp(-mu * th)
+            return f, -mu * f
+        f = alpha * math.exp(-lam * (g_delta - _g_to_half_pi(space, min(th, HALF_PI))))
+        return f, -lam * f * _g_integrand(th, n)
+
+    return RadialProfile(lo=0.0, hi=HALF_PI, eval=jet, breakpoints=(delta,))
+
+
 class TestExpArea:
     @pytest.mark.parametrize("n, lam, delta, alpha, area", [
         # two search witnesses, then a junction above the 0.3 cap
@@ -404,23 +421,17 @@ class TestExpArea:
                                      (6, 0.7, 1e-12, 0.5)] + below_subnormal:
             space = ConeSpace(n, lam)
             direct = exp_profile_area(space, delta, alpha)
-            via_functional = s_functional(exp_profile(space, delta, alpha), space)
+            via_functional = s_functional(assembled_competitor(space, delta, alpha), space)
             assert direct == pytest.approx(via_functional, abs=1e-11), (n, lam, delta)
 
     def test_tail_at_tiny_junction(self):
-        # the tail integrates the expm1 form of g', which stays finite where
-        # cos^(2-2n) - 1 would round to 0
-        space = ConeSpace(3, 0.9)
-        for delta in (1e-9, 1e-12):
-            f = exp_profile(space, delta, 0.5)
-            expected = 0.5 * math.exp(-space.lam * _g_to_half_pi(space, delta))
-            assert f(HALF_PI) == pytest.approx(expected, rel=1e-9)
-        # interior values on both sides of the cap, against g from delta to
-        # theta summed in 40 digits in tau = log t
+        # the tail's interior values alpha e^(-lam g(theta)), g(theta) =
+        # G(delta) - G(theta) with G = _g_to_half_pi, on both sides of the
+        # cap, against g from delta to theta summed in 40 digits in tau = log t
         for n, lam in ((3, 0.9), (6, 0.7)):
             space = ConeSpace(n, lam)
             for delta in (1e-2, 1e-9):
-                f = exp_profile(space, delta, 0.5)
+                g_delta = _g_to_half_pi(space, delta)
                 with mpmath.workdps(40):
                     def dg_tau(tau):
                         t = mpmath.exp(tau)
@@ -432,7 +443,8 @@ class TestExpArea:
                         hi = mpmath.log(mpmath.mpf(theta))
                         g, lo = g + mpmath.quad(dg_tau, [lo, hi]), hi
                         exact = float(0.5 * mpmath.exp(-mpmath.mpf(lam) * g))
-                        assert abs(f(theta) - exact) <= 1e-13 * exact, (n, delta, theta)
+                        got = 0.5 * math.exp(-lam * (g_delta - _g_to_half_pi(space, theta)))
+                        assert abs(got - exact) <= 1e-13 * exact, (n, delta, theta)
 
     def test_log_sec_matches_mpmath(self):
         # -log cos t keeps its digits where 1 - cos t is below 1e-8
@@ -613,21 +625,17 @@ class TestExpArea:
             assert val == pytest.approx(ref, rel=1e-15, abs=0.0)
             assert err == pytest.approx(ref_err, rel=1e-12, abs=0.0)
 
-    def test_junction_continuity(self):
-        f = exp_profile(ConeSpace(3, 0.9), 0.01, 0.3)
-        assert abs(f(0.01 - 1e-13) - f(0.01 + 1e-13)) < 1e-11
-        assert f.breakpoints == (0.01,)
-
-    def test_subnormal_junction_names_the_overflow(self):
-        # mu = -log(alpha)/delta overflows; the area itself is well defined
+    def test_subnormal_junction_area(self):
+        # mu = -log(alpha)/delta overflows; the area, in u = theta/delta, is well defined
         space = ConeSpace(3, 0.9)
-        with pytest.raises(ValueError, match="mu = -log"):
-            exp_profile(space, 1e-310, 0.5)
         assert exp_profile_area(space, 1e-310, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_mu_continuity_exact(self):
-        comp = ExpCompetitor(space=ConeSpace(3, 0.9), delta=0.02, alpha=0.4)
-        assert math.exp(-comp.mu * comp.delta) == pytest.approx(0.4, abs=1e-15)
+    @pytest.mark.parametrize("delta, alpha, match", [
+        (0.0, 0.5, "angle"), (HALF_PI, 0.5, "angle"), (math.nan, 0.5, "angle"),
+        (0.01, 0.0, "value"), (0.01, 1.0, "value")])
+    def test_junction_outside_domain_rejected(self, delta, alpha, match):
+        with pytest.raises(ValueError, match=f"junction {match} must lie"):
+            exp_profile_area(ConeSpace(3, 0.9), delta, alpha)
 
     def test_below_one_third_somewhere_under_threshold(self):
         space = ConeSpace(3, 0.9)

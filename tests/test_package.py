@@ -53,6 +53,32 @@ def test_every_quad_is_checked():
     assert not named
 
 
+def _unused_imports(tree, lines):
+    """Names a module's top-level imports bind that it never reads, unless marked noqa: F401."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield f"{node.lineno}: {name}"
+
+
+def test_every_import_is_used():
+    # no linter runs here: a deletion must not leave its imports behind
+    unused = []
+    for path in sorted(Path(conelab.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            text = path.read_text()
+            unused += (f"{path.name}:{hit}"
+                       for hit in _unused_imports(ast.parse(text), text.splitlines()))
+    assert not unused
+
+
 # scipy subpackages that each cost a large share of start-up; the package
 # imports bare scipy and reaches them by attribute, so each loads on first use.
 # numpy.polynomial too: import numpy leaves it unloaded, and it costs ~7 ms
@@ -72,6 +98,7 @@ def _subpackages_after(code: str, tmp_path) -> set[str]:
 
 def test_scans_and_cli_load_no_scipy_subpackage(tmp_path):
     code = """
+import math
 import conelab
 from conelab import cli, competitors, phase, profiles
 from conelab.geometry import ConeSpace
@@ -83,7 +110,8 @@ space = ConeSpace(3, 0.9)
 res = competitors.competitor_search(space)
 competitors.exp_profile_area(space, res.delta, res.alpha)
 competitors.disk_profile(0.1, 0.3, round_sphere)
-profiles.s_functional(competitors.exp_profile(space, 0.01, 0.3), space)
+decay = profiles.RadialProfile(0.0, math.pi / 2, lambda t: (math.exp(-t), -math.exp(-t)), (0.01,))
+profiles.s_functional(decay, space)
 cli.main(["scan", "--n", "3", "4", "--lambda-points", "26", "--output", "cli.csv"])
 cli.main(["competitor", "--n", "4", "--lam", "0.8"])
 """

@@ -6,77 +6,47 @@ from hypothesis import strategies as st
 
 from conelab.errors import AREA_TOL, QuadratureError, checked_quad
 from conelab.geometry import ConeSpace
-from conelab.profiles import LengthProfile, RadialProfile, graph_area, s_functional
+from conelab.profiles import LengthProfile, RadialProfile, s_functional
 
 HALF_PI = math.pi / 2
 
 
+def constant(value, hi=HALF_PI):
+    return RadialProfile(lo=0.0, hi=hi, eval=lambda x: (value, 0.0))
+
+
 class TestRadialProfile:
     def test_constant(self):
-        f = RadialProfile.constant(2.0)
+        f = constant(2.0)
         assert f(0.3) == 2.0
         assert f.eval(0.3)[1] == 0.0
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            RadialProfile.constant(-1.0)
 
     def test_degenerate_domain(self):
         with pytest.raises(ValueError):
             RadialProfile(lo=1.0, hi=1.0, eval=lambda x: (1.0, 0.0))
 
-    def test_piecewise_junction(self):
-        left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: (1.0 - x, -1.0))
-        right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: (0.5 * math.exp(0.5 - x),
-                                                              -0.5 * math.exp(0.5 - x)))
-        f = RadialProfile.piecewise([left, right])
-        assert f.breakpoints == (0.5,)
-        assert f(0.25) == 0.75
-        assert f(0.75) == pytest.approx(0.5 * math.exp(-0.25))
-
-    def test_piecewise_discontinuity_rejected(self):
-        left = RadialProfile(lo=0.0, hi=0.5, eval=lambda x: (1.0, 0.0))
-        right = RadialProfile(lo=0.5, hi=1.0, eval=lambda x: (2.0, 0.0))
-        with pytest.raises(ValueError, match="discontinuous"):
-            RadialProfile.piecewise([left, right])
-
-
-class TestGraphArea:
-    def test_hemisphere(self):
-        # constant profile over the round circle-length profile: unit hemisphere
-        f = RadialProfile.constant(1.0)
-        L = LengthProfile.round_sphere()
-        assert graph_area(f, L) == pytest.approx(2 * math.pi, rel=1e-10)
-
-    def test_dilation_scales_quadratically(self):
-        L = LengthProfile.round_sphere()
-        a1 = graph_area(RadialProfile.constant(1.0), L)
-        a3 = graph_area(RadialProfile.constant(3.0), L)
-        assert a3 == pytest.approx(9.0 * a1, rel=1e-10)
-
-    def test_matches_s_functional_at_unit_radius(self):
-        # for 2-d surfaces over the unit round sphere the two functionals
-        # differ by the constant L0
-        space = ConeSpace(2, 1.0)
-        f = RadialProfile(lo=0.0, hi=HALF_PI,
-                          eval=lambda t: (math.exp(-0.4 * t), -0.4 * math.exp(-0.4 * t)))
-        L = LengthProfile.round_sphere()
-        assert graph_area(f, L) == pytest.approx(
-            2 * math.pi * s_functional(f, space), rel=1e-8)
-
 
 class TestSFunctional:
     def test_constant_profile_n2(self):
-        f = RadialProfile.constant(1.0)
+        f = constant(1.0)
         assert s_functional(f, ConeSpace(2, 0.5)) == pytest.approx(0.5, rel=1e-10)
 
     def test_constant_profile_n3(self):
-        f = RadialProfile.constant(1.0)
+        f = constant(1.0)
         assert s_functional(f, ConeSpace(3, 1.0)) == pytest.approx(math.pi / 4,
                                                                    rel=1e-10)
 
+    def test_exponential_profile_closed_form(self):
+        # n = 2, lam = 1, f = e^(-a t): the integrand is sqrt(1 + a^2) e^(-2at) cos t,
+        # and int_0^(pi/2) e^(-bt) cos t dt = (b + e^(-b pi/2)) / (1 + b^2)
+        a, b = 0.4, 0.8
+        f = RadialProfile(lo=0.0, hi=HALF_PI,
+                          eval=lambda t: (math.exp(-a * t), -a * math.exp(-a * t)))
+        exact = math.sqrt(1 + a * a) * (b + math.exp(-b * HALF_PI)) / (1 + b * b)
+        assert s_functional(f, ConeSpace(2, 1.0)) == pytest.approx(exact, rel=1e-8)
+
     def test_domain_check(self):
-        f = RadialProfile.constant(1.0, lo=0.0, hi=1.0)
+        f = constant(1.0, hi=1.0)
         with pytest.raises(ValueError):
             s_functional(f, ConeSpace(2, 0.5))
 
@@ -95,7 +65,7 @@ class TestSFunctional:
     @settings(max_examples=30, deadline=None)
     def test_constant_profile_analytic(self, lam, n):
         # integrand reduces to lam * cos^(n-1); compare against the closed form
-        f = RadialProfile.constant(1.0)
+        f = constant(1.0)
         k = n - 1
         val = 1.0
         m = k
