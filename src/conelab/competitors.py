@@ -22,9 +22,8 @@ from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy
 
-from .errors import AREA_TOL, NumericError, checked_quad
+from .errors import AREA_TOL, NumericError, checked_quad, sign_change
 from .geometry import ConeSpace, threshold_discriminant
 from .profiles import LengthProfile, RadialProfile
 
@@ -73,11 +72,9 @@ def solve_catenoid(delta: float, alpha: float) -> Optional[CatenoidParams]:
     the junction is psi(a) = a (acosh(1/a) - acosh(c/a)) - s = 0.  psi(0+) = -s
     and psi' = G(1) - G(c) > 0, G(k) = acosh(k/a) - k/sqrt(k^2 - a^2) having
     dG/dk = 1/sqrt(k^2 - a^2) + a^2/(k^2 - a^2)^(3/2) > 0: one root in (0, c)
-    if psi(c) > 0, else no patch and None.  psi is convex, psi'' = (H(c) - H(1))/a
-    with H(k) = (1 - a^2/k^2)^(-3/2) decreasing, so the root lies below
-    c u_hi, u_hi = min(1, 2 tan(delta)/(-log c)), where psi's tangent at 0
-    reaches s.  brentq solves psi(c v u_hi)/s = 0 for v in [0, 1], whose values
-    and steps are of order 1, so none underflows at a ~ 1e-300.  The acosh
+    if psi(c) > 0, else no patch and None.  ``sign_change`` bisects
+    psi(c u)/s = u log_ratio(u)/tan(delta) - 1 over the doubles u in [0, 1],
+    so a = c u is the neck to adjacent doubles of u even at a ~ 1e-300.  The acosh
     difference is log((1 + sqrt(1 - a^2)) / (c + sqrt(c^2 - a^2))), taken as
     log1p((1 - c)(1 + (1 + c)/(sqrt(1 - a^2) + sqrt(c^2 - a^2))) / (c + sqrt(c^2 - a^2)))
     with 1 - c = (1 - alpha) + 2 alpha sin^2(delta/2), so it keeps its digits as
@@ -100,10 +97,7 @@ def solve_catenoid(delta: float, alpha: float) -> Optional[CatenoidParams]:
 
     if not log_ratio(1.0) > tan_delta:    # psi(c) = c log_ratio(1) - s
         return None
-    u_hi = min(1.0, 2.0 * tan_delta / (_log_sec(delta) - math.log(alpha)))    # -log c
-    v = scipy.optimize.brentq(lambda v: v * u_hi / tan_delta * log_ratio(v * u_hi) - 1.0,
-                              0.0, 1.0, xtol=sys.float_info.min)
-    a = c * (v * u_hi)
+    a = c * sign_change(lambda u: u / tan_delta * log_ratio(u) - 1.0, 0.0, 1.0)
     if not sys.float_info.min <= a < c:
         raise NumericError(f"catenoid neck {a!r} is subnormal or rounds to alpha cos(delta) "
                            f"at (delta, alpha) = {(delta, alpha)}")

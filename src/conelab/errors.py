@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one checked quadrature."""
+"""Exception types shared across the package, the one checked quadrature and the one root finder."""
 
 import math
+import struct
 from bisect import insort
 from itertools import repeat
 from operator import add, mul, sub
@@ -106,3 +107,30 @@ def checked_quad(fn, lo, hi, abs_tol, rel_tol, args=()) -> float:
         raise QuadratureError(f"quadrature value {val!r} with residual {err:.3e} exceeds "
                               f"tolerance", residual=err)
     return val
+
+
+def sign_change(fn, lo: float, hi: float) -> float:
+    """The last double of [lo, hi] before fn crosses 0 from fn(lo)'s side.
+
+    The package's one root finder, with no tolerance: it bisects the bit
+    patterns of the doubles, which order as non-negative doubles do, and in
+    at most 63 halvings ends on an x with fn(x) 0 or of fn(lo)'s sign and fn
+    of the other sign at the next double.  An end where fn is 0 is returned.
+    Raises ``ValueError`` unless 0 <= lo < hi and fn(lo) fn(hi) <= 0, and
+    ``NumericError`` where fn is NaN between them.
+    """
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"root finder needs 0 <= lo < hi, got [{lo!r}, {hi!r}]")
+    y_lo, y_hi = float(fn(lo)), float(fn(hi))
+    if y_lo == 0.0 or y_hi == 0.0:
+        return lo if y_lo == 0.0 else hi
+    if not (y_lo < 0.0 < y_hi or y_hi < 0.0 < y_lo):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: {y_lo!r}, {y_hi!r}")
+    i, j = struct.unpack("<2q", struct.pack("<2d", lo + 0.0, hi))    # -0.0 ranks as 0.0
+    while j - i > 1:
+        m = (i + j) // 2
+        x = struct.unpack("<d", struct.pack("<q", m))[0]
+        if math.isnan(y := float(fn(x))):
+            raise NumericError(f"root finder met NaN at {x!r}")
+        i, j = (m, j) if y == 0.0 or (y < 0.0) == (y_lo < 0.0) else (i, m)
+    return struct.unpack("<d", struct.pack("<q", i))[0]

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
 
-from .errors import AREA_TOL, checked_quad
+from .errors import AREA_TOL, checked_quad, sign_change
 
 TANGENTIAL = "tangential"
 RADIAL = "radial"
@@ -156,11 +155,10 @@ class RevolutionSurface:
         return self.rho(z) ** 2 + z**2
 
     def _z_cut(self, r: float) -> float:
-        """Largest z with rho(z)^2 + z^2 <= r^2."""
+        """The last double z in [0, z_max] with rho(z)^2 + z^2 <= r^2, for rho(0) < r."""
         if self._dist_sq(self.z_max) <= r * r:
             raise ValueError(f"radius {r} exceeds the sampled patch")
-        return scipy.optimize.brentq(lambda z: self._dist_sq(z) - r * r, 0.0, self.z_max,
-                                     xtol=1e-14)
+        return sign_change(lambda z: self._dist_sq(z) - r * r, 0.0, self.z_max)
 
     def area_in_ball(self, r: float) -> float:
         if r <= 0.0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,9 +19,8 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-import scipy
 
-from .errors import AREA_TOL, NumericError, QuadratureError, checked_quad
+from .errors import AREA_TOL, NumericError, QuadratureError, checked_quad, sign_change
 from .geometry import ConeSpace, threshold_discriminant
 from .profiles import RadialProfile
 # not called here since flux_consistency integrates the mesh itself; kept as a
@@ -176,7 +174,6 @@ _POWERS = np.arange(1, 5)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5    # -1 / (order of the error estimate + 1)
 _SQRT2 = 2 ** 0.5
-_EVENT_TOL = 4 * sys.float_info.epsilon
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 
 
@@ -225,10 +222,8 @@ class _Path:
         return float(y[0, 0]), float(z[0, 0])
 
     def crossing(self, level: float) -> float:
-        """Where the last step's interpolant of y meets ``level``, to 4 eps relative in t."""
-        i = len(self.stages) - 1
-        return scipy.optimize.brentq(lambda t: self._at(i, t)[0] - level, self.ts[-2], self.ts[-1],
-                                     xtol=sys.float_info.min, rtol=_EVENT_TOL)
+        """The last double t before the last step's interpolant of y crosses ``level``."""
+        return sign_change(lambda t: self._at(-1, t)[0] - level, self.ts[-2], self.ts[-1])
 
     def cut(self, t: float) -> None:
         """End the path at t inside its last step."""

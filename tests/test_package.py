@@ -1,8 +1,11 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import conelab
 
@@ -37,20 +40,40 @@ def _scipy_names(tree):
 
 
 def test_every_quad_is_checked():
-    # the convergence policy lives in errors.checked_quad alone: no code in
-    # the package calls a quad or names scipy's quadrature or special functions
+    # the convergence policy lives in errors.checked_quad and the root policy
+    # in errors.sign_change alone: no code in the package calls a quad or
+    # names anything of scipy
     src = Path(conelab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    helper = [node for node in ast.walk(trees["errors.py"])
-              if isinstance(node, ast.FunctionDef) and node.name == "checked_quad"]
-    assert len(helper) == 1
+    helpers = [node.name for node in ast.walk(trees["errors.py"])
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("checked_quad", "sign_change")]
+    assert sorted(helpers) == ["checked_quad", "sign_change"]
     stray = [f"{name}:{node.lineno}" for name, tree in trees.items()
              for node in _quad_sites(tree)]
     assert not stray
     named = [f"{name}: {dotted}" for name, tree in trees.items()
              for dotted in _scipy_names(tree)
-             if dotted.startswith(("scipy.integrate", "scipy.special"))]
+             if dotted == "scipy" or dotted.startswith("scipy.")]
     assert not named
+
+
+def test_dependencies_are_the_third_party_imports():
+    # pyproject's runtime dependencies name exactly what the package imports
+    # beyond the standard library
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(conelab.__file__).parent
+    with open(src.parents[1] / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower().replace("-", "_") for dep in deps}
+    imported = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared == {"numpy"}
 
 
 def _unused_imports(tree, lines):
@@ -79,18 +102,16 @@ def test_every_import_is_used():
     assert not unused
 
 
-# scipy subpackages that each cost a large share of start-up; the package
-# imports bare scipy and reaches them by attribute, so each loads on first use.
-# numpy.polynomial too: import numpy leaves it unloaded, and it costs ~7 ms
-_SUBPACKAGES = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.interpolate",
-                "scipy.linalg", "numpy.polynomial")
+# numpy.polynomial costs ~7 ms of start-up, and import numpy leaves it unloaded
+_SUBPACKAGES = ("numpy.polynomial",)
 
 
-def _subpackages_after(code: str, tmp_path) -> set[str]:
-    """The _SUBPACKAGES a fresh interpreter holds after running code."""
+def _loaded_after(code: str, tmp_path) -> set[str]:
+    """The scipy modules and _SUBPACKAGES a fresh interpreter holds after running code."""
     src = str(Path(conelab.__file__).parents[1])
     script = (f"import sys\nsys.path.insert(0, {src!r})\n{code}\n"
-              f"print('loaded', *(m for m in {_SUBPACKAGES!r} if m in sys.modules))")
+              f"print('loaded', *(m for m in sys.modules if m == 'scipy' or "
+              f"m.startswith('scipy.') or m in {_SUBPACKAGES!r}))")
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     return set(out.splitlines()[-1].split()[1:])
@@ -113,9 +134,14 @@ competitors.disk_profile(0.1, 0.3, round_sphere)
 decay = profiles.RadialProfile(0.0, math.pi / 2, lambda t: (math.exp(-t), -math.exp(-t)), (0.01,))
 profiles.s_functional(decay, space)
 cli.main(["scan", "--n", "3", "4", "--lambda-points", "26", "--output", "cli.csv"])
+cli.main(["shoot", "--n", "2", "--lam", "0.5", "--h0", "1e-6"])
+cli.main(["shoot", "--n", "3", "--lam", "0.9", "--h0", "0.3"])
 cli.main(["competitor", "--n", "4", "--lam", "0.8"])
+cli.main(["stability", "--lam", "0.9"])
+cli.main(["curvature", "--n", "3", "--lam", "0.9"])
+cli.main(["monotonicity", "--surface", "catenoid"])
 """
-    assert _subpackages_after(code, tmp_path) == set()
+    assert _loaded_after(code, tmp_path) == set()
 
 
 def test_oracle_loads_no_scipy_subpackage(tmp_path):
@@ -126,4 +152,4 @@ space = ConeSpace(2, 0.85)
 for H0, outcome in shooting.find_extending_shots(space):
     shooting.flux_consistency(space, H0, outcome)
 """
-    assert _subpackages_after(code, tmp_path) == set()
+    assert _loaded_after(code, tmp_path) == set()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.errors import AREA_TOL, QuadratureError, checked_quad
+from conelab.errors import AREA_TOL, NumericError, QuadratureError, checked_quad, sign_change
 from conelab.geometry import ConeSpace
 from conelab.profiles import LengthProfile, RadialProfile, s_functional
 
@@ -114,3 +114,52 @@ class TestCheckedQuad:
     def test_non_finite_integrand_raises(self, value):
         with pytest.raises(QuadratureError):
             checked_quad(lambda x: value, 0.0, 1.0, 1e-10, 1e-10)
+
+
+def counted(fn, calls):
+    """fn, appending each argument it is called at to calls."""
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+    return wrapped
+
+
+class TestSignChange:
+    def test_adjacent_doubles_around_sqrt2(self):
+        fn = lambda x: x * x - 2.0
+        x = sign_change(fn, 1.0, 2.0)
+        assert fn(x) < 0.0 <= fn(math.nextafter(x, 2.0))
+
+    @pytest.mark.parametrize("lo", [0.0, -0.0])
+    def test_root_among_subnormals(self, lo):
+        # 2x is exact below 1e-307: its root 3.5 tiny lies between two subnormals
+        tiny = 5e-324
+        assert sign_change(lambda x: 2.0 * x - 7.0 * tiny, lo, 1.0) == 3.0 * tiny
+        assert sign_change(lambda x: x - 3e-320, lo, 1.0) == 3e-320
+
+    def test_exact_zero_joins_the_low_side(self):
+        # the last double before fn crosses: an x where fn is 0 counts as fn(lo)'s side
+        assert sign_change(lambda x: x - 1.5, 1.0, 2.0) == 1.5
+        assert sign_change(lambda x: 1.5 - x, 1.0, 2.0) == 1.5
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.0)])
+    def test_zero_end_is_returned(self, lo, hi):
+        calls = []
+        assert sign_change(counted(lambda x: x - 1.0, calls), lo, hi) == 1.0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (-1.0, 1.0)])
+    def test_no_bracket_raises(self, lo, hi):
+        with pytest.raises(ValueError):
+            sign_change(lambda x: x + 1.0, lo, hi)
+
+    def test_nan_inside_raises(self):
+        with pytest.raises(NumericError, match="NaN"):
+            sign_change(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("root", [1e-300, 1.0, math.pi, 1e300])
+    def test_calls_over_all_doubles(self, root):
+        # the two ends, then one call per halving of the 9.2e18 < 2^63 doubles between
+        calls = []
+        assert sign_change(counted(lambda x: x - root, calls), 0.0, 1.7e308) == root
+        assert len(calls) <= 2 + 63

@@ -411,6 +411,28 @@ def test_floor_exit_cut_lands_on_the_switch_level(H0, level):
     assert out.dense.ys[-1] == pytest.approx(level, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n, lam, H0, kind", [(2, 0.5, 1e-6, OutcomeKind.EXITS_AT_FLOOR),
+                                              (3, 0.9, 0.3, OutcomeKind.EXITS_AT_CEILING)])
+def test_exit_cut_is_the_last_double_before_the_crossing(n, lam, H0, kind, monkeypatch):
+    # the cut theta has the last step's interpolant at its level or on the
+    # start's side of it, and the next double up has it past the level
+    crossing, seen = shooting._Path.crossing, []
+
+    def recording_crossing(path, level):
+        lo, hi = path.ts[-2], path.ts[-1]
+        t = crossing(path, level)
+        seen.append((path, level, lo, hi, t))
+        return t
+
+    monkeypatch.setattr(shooting._Path, "crossing", recording_crossing)
+    assert shoot(ConeSpace(n, lam), H0).kind is kind
+    (path, level, lo, hi, t), = seen
+    offset = lambda t: path._at(-1, t)[0] - level
+    sign = math.copysign(1.0, offset(lo))      # the start's side
+    assert lo <= t < hi and offset(lo) != 0.0
+    assert sign * offset(t) >= 0.0 > sign * offset(math.nextafter(t, hi))
+
+
 @pytest.mark.parametrize("n, lam, H0", [(3, 0.98, 1e-10), (3, 0.98, 1e-12),
                                         (2, 1.0, 1e-12), (3, 0.942, 1e-10)])
 def test_tiny_start_rises_to_ceiling(n, lam, H0):
