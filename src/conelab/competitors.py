@@ -154,7 +154,14 @@ def disk_profile(delta: float, alpha: float, L: LengthProfile):
 # exponential + integral-profile family (radial graphs, any dimension)
 # ---------------------------------------------------------------------------
 
-def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=None):
+def _alpha_terms(n: int, log_alpha):
+    """(alpha^n, log1p(-alpha^n), log(-log alpha)), ``_margin_and_log_gap``'s alpha terms."""
+    an = np.exp(n * log_alpha)
+    return an, np.log1p(-an), np.log(-log_alpha)
+
+
+def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=None,
+                        alpha_terms=None):
     """(margin, log gap) of the competitor with junction (delta, alpha) at each lambda.
 
     The competitor is e^(-mu theta) on [0, delta], mu = -log(alpha)/delta,
@@ -177,16 +184,17 @@ def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=Non
     decides junctions far below the smallest double, and from
     p - 2 = D/(sqrt(n-1)(n lam + 2 sqrt(n-1))), given or formed from
     ``threshold_discriminant``, so it has D's exact sign; it is -inf where
-    p >= 2, where no competitor beats the cone.  Row i depends on row i's inputs
-    alone, so an ``np.float64`` lambda gives the array's row bit for bit; powers are
-    ``np.power`` and ``np.square``, as ``**`` on a NumPy scalar is C's pow, an ulp off.
+    p >= 2, where no competitor beats the cone, by a masked write.  alpha_terms is
+    ``_alpha_terms(n, log_alpha)``, if known.  Row i depends on row i's inputs alone, so an
+    ``np.float64`` lambda gives the array's row bit for bit; powers are ``np.power`` and
+    ``np.square``, as ``**`` on a NumPy scalar is C's pow, an ulp off.
     """
     root = math.sqrt(n - 1)
     p = n * lams / root
     if p_minus_2 is None:
         # p log delta - 2 log delta would cancel every digit at log delta ~ -1e17
         p_minus_2 = threshold_discriminant(n, lams) / (root * (n * lams + 2.0 * root))
-    an = np.exp(n * log_alpha)
+    an, log1p_an, log_neg_la = _alpha_terms(n, log_alpha) if alpha_terms is None else alpha_terms
     x = np.square(lams * delta / log_alpha)
     margin = (an * np.power(np.sin(delta), p) - (1.0 - an) * x / (1.0 + np.sqrt(1.0 + x))) / n
     # log sin(delta) = log delta + log(sin(delta)/delta).  The ratio rounds
@@ -194,11 +202,13 @@ def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=Non
     # to 0 below log delta ~ -745) leaves log sin(delta) = log delta there.
     delta = np.maximum(delta, 1e-300)
     # log x = 2 log delta + log_x_rest
-    log_x_rest = 2.0 * (np.log(lams) - np.log(-log_alpha))
-    log_gap = (p_minus_2 * log_delta + (2.0 + p_minus_2) * np.log(np.sin(delta) / delta)
-               + n * log_alpha - np.log1p(-an) - log_x_rest
-               + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
-    return margin, np.where(p_minus_2 < 0.0, log_gap, -np.inf)[()]   # [()]: 0-d to np.float64
+    log_x_rest = 2.0 * (np.log(lams) - log_neg_la)
+    log_gap = np.asarray(   # a fresh result, 0-d for one lambda
+        p_minus_2 * log_delta + (2.0 + p_minus_2) * np.log(np.sin(delta) / delta)
+        + n * log_alpha - log1p_an - log_x_rest
+        + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
+    log_gap[np.logical_not(p_minus_2 < 0.0)] = -np.inf
+    return margin, log_gap[()]   # [()]: 0-d to np.float64
 
 
 def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
@@ -365,8 +375,7 @@ def exp_profile_area(space: ConeSpace, delta: float, alpha: float) -> float:
 # the closed-form junction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     found: bool
     delta: float            # the double the margin is computed at; 0.0 once it underflows
     log_delta: float
@@ -406,15 +415,16 @@ _LOG_TINY = math.log(sys.float_info.min)
 
 @functools.cache
 def _junction_alpha(n: int):
-    """(alpha, log alpha, C_alpha) of the first of _JUNCTION_ALPHAS with the largest C_alpha.
+    """(alpha, log alpha, C_alpha, _alpha_terms) of the first of _JUNCTION_ALPHAS with top C_alpha.
 
     C_alpha = n log alpha - log1p(-alpha^n) + 2 log(-log alpha) holds the
     alpha terms of search_competitors' C, so the choice depends on n alone.
     """
     la = np.log(_JUNCTION_ALPHAS)
-    c_alpha = n * la - np.log1p(-np.exp(n * la)) + 2.0 * np.log(-la)
+    an, log1p_an, log_neg_la = _alpha_terms(n, la)
+    c_alpha = n * la - log1p_an + 2.0 * log_neg_la
     k = int(c_alpha.argmax())
-    return _JUNCTION_ALPHAS[k], la[k], c_alpha[k]
+    return _JUNCTION_ALPHAS[k], la[k], c_alpha[k], (an[k], log1p_an[k], log_neg_la[k])
 
 
 def search_competitors(n: int, lams, disc=None, /) -> Searches:
@@ -425,31 +435,34 @@ def search_competitors(n: int, lams, disc=None, /) -> Searches:
     and is 0 at l* = C / (2-p).  The junction takes the first alpha of
     _JUNCTION_ALPHAS with the largest C and l = min(1.5 l*, log 0.3)
     (gap ~ |C|/2 below the cap), or the smallest normal delta where half
-    that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.  disc is D, if known.
-    lams is a 1-d sequence or one ``np.float64``, which gives that row bit for bit.
+    that gap is left.  Where p >= 2 it is l = log 0.3, unchecked.  Each choice is a
+    masked write into a fresh array, 0-d for one lambda.  disc is D, if known.  lams
+    is a 1-d sequence or one ``np.float64``, which gives that row bit for bit.
     """
     lams = np.float64(lams)
     disc = threshold_discriminant(n, lams) if disc is None else disc
     root = math.sqrt(n - 1)
     # p - 2 free of cancellation, as _margin_and_log_gap forms it
     p_minus_2 = disc / (root * (n * lams + 2.0 * root))
-    alpha_k, la_k, c_k = _junction_alpha(n)
+    alpha_k, la_k, c_k, alpha_terms = _junction_alpha(n)
     # l* on every row, kept where p < 2 (the exact sign of D); D = 0 divides by 1, not 0
     l_star = (c_k - 2.0 * np.log(lams) + math.log(2.0)) / (-p_minus_2 + (p_minus_2 == 0.0))
-    ld = np.minimum(_JUNCTION_STRETCH * l_star, _LOG_DELTA_CAP)
+    ld = _JUNCTION_STRETCH * l_star
+    log_delta = np.asarray(ld)   # a fresh result, 0-d for one lambda
     # gap (2-p)(l* - _LOG_TINY) >= half of (2-p)(-l*/2) iff 1.25 l* >= _LOG_TINY
-    ld = np.where((ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY), _LOG_TINY, ld)
-    log_delta = np.where(p_minus_2 < 0.0, ld, _LOG_DELTA_CAP)[()]
+    log_delta[(ld < _LOG_TINY) & (1.25 * l_star >= _LOG_TINY)] = _LOG_TINY
+    log_delta[(ld > _LOG_DELTA_CAP) | np.logical_not(p_minus_2 < 0.0)] = _LOG_DELTA_CAP
+    log_delta = log_delta[()]   # 0-d to np.float64
     # delta underflows to 0.0 below log delta ~ -745, and the margin with it
-    margin, log_gap = _margin_and_log_gap(n, lams, la_k, log_delta, np.exp(log_delta), p_minus_2)
-    return Searches(found=log_gap > 0.0, alpha=lams * 0.0 + alpha_k,   # alpha_k on every row
-                    log_delta=log_delta, margin=margin, log_gap=log_gap)
+    margin, log_gap = _margin_and_log_gap(n, lams, la_k, log_delta, np.exp(log_delta), p_minus_2,
+                                          alpha_terms)
+    # in field order: found, alpha (alpha_k on every row), log_delta, margin, log_gap
+    return Searches(log_gap > 0.0, lams * 0.0 + alpha_k, log_delta, margin, log_gap)
 
 
 def competitor_search(space: ConeSpace) -> SearchResult:
     """``search_competitors`` on ``np.float64(lam)``, with the witness's delta and bound."""
-    found, alpha, log_delta, margin, log_gap = (
-        v.item() for v in search_competitors(space.n, np.float64(space.lam)))
-    return SearchResult(found=found, delta=float(np.exp(log_delta)), log_delta=log_delta,
-                        alpha=alpha, bound=1.0 / space.n - margin, margin=margin,
-                        log_margin_gap=log_gap, evaluations=int(math.isfinite(log_gap)))
+    found, alpha, log_delta, margin, log_gap = map(   # float(): .item()'s value, 10x cheaper
+        float, search_competitors(space.n, np.float64(space.lam)))
+    return SearchResult(found > 0.0, float(np.exp(log_delta)), log_delta, alpha,   # field order
+                        1.0 / space.n - margin, margin, log_gap, int(math.isfinite(log_gap)))

@@ -49,11 +49,15 @@ def threshold_discriminant(n: int, lams):
     """
     lams = np.float64(lams)
     nl = n * lams
-    disc = np.asarray(nl * nl - 4.0 * (n - 1))   # writable; 0-d for one lambda
-    near = np.abs(disc) < _EXACT_DISCRIMINANT * (n - 1)
-    disc[near] = [((n * a) ** 2 - 4 * (n - 1) * b * b) / (b * b)
-                  for a, b in map(float.as_integer_ratio, lams[near].tolist())]
-    return disc[()]
+    disc = nl * nl - 4.0 * (n - 1)
+    near = abs(disc) < _EXACT_DISCRIMINANT * (n - 1)
+    close = lams[near]
+    if close.size:
+        disc = np.asarray(disc)   # writable; 0-d for one lambda
+        disc[near] = [((n * a) ** 2 - 4 * (n - 1) * b * b) / (b * b)
+                      for a, b in map(float.as_integer_ratio, close.tolist())]
+        disc = disc[()]
+    return disc
 
 
 def _check_radius(t: float) -> None:

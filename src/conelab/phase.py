@@ -8,7 +8,6 @@ and an SVG phase diagram with the analytic threshold curve overlaid.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import time
@@ -73,8 +72,9 @@ def decide(space: ConeSpace, mode: str = "certified") -> Decision:
     Certified mode produces a checkable witness: a barrier line whose margin
     is positive, or a competitor whose area bound drops below 1/n.  Both
     signs are exact on the double lambda, so Undetermined comes only from a
-    certificate that raises a numeric failure.  Formula-only mode compares
-    lambda against the closed-form threshold.
+    certificate that raises a numeric failure.  Formula-only mode takes the
+    exact sign of D = (n lambda)^2 - 4(n-1), as certified mode does, with the
+    margin lambda - threshold(n).
     """
     return _decide_block(space.n, np.float64(space.lam), mode)[0]
 
@@ -115,7 +115,8 @@ def _decide_block(n: int, lams, mode: str) -> list[Decision]:
         raise ValueError(f"mode must be 'certified' or 'formula-only', got {mode!r}")
     offsets = lams - threshold(n)
     if mode == "formula-only":
-        return _decisions(np.where(offsets >= 0.0, _ABOVE, _BELOW), offsets)
+        above = threshold_discriminant(n, lams) >= 0.0
+        return _decisions(np.where(above, _ABOVE, _BELOW), offsets)
     try:
         disc = threshold_discriminant(n, lams)
         barrier = barrier_margins(n, lams, disc)
@@ -164,6 +165,7 @@ def scan(n_range: Iterable[int], lambda_grid: Sequence[float],
     order = np.sort(lams)
     blocks = [(int(n), np.repeat(order, k), mode, measure_time) for n, k in sorted(counts.items())]
     if parallelism > 1 and len(blocks) > 1:
+        import concurrent.futures   # here, not at the top: a serial scan never loads it
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             parts = list(pool.map(_scan_block, blocks))
     else:

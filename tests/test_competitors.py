@@ -795,6 +795,13 @@ class TestScalarPath:
             res = competitor_search(ConeSpace(n, lam))
             assert res.found and res.delta == 0.0 and res.log_delta < -745.0
 
+    def test_clamped_junction(self):
+        # 1.5 l* falls below _LOG_TINY while 1.25 l* does not: delta is the smallest normal double
+        for n, lam in [(2, 0.9989), (3, 0.9411), (100, 0.1968)]:
+            self.check(n, [lam, 0.5])
+            res = competitor_search(ConeSpace(n, lam))
+            assert res.found and res.log_delta == competitors._LOG_TINY
+
     @given(st.integers(2, 60), st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_random_rows(self, n, lams):

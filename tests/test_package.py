@@ -102,8 +102,9 @@ def test_every_import_is_used():
     assert not unused
 
 
-# numpy.polynomial costs ~7 ms of start-up, and import numpy leaves it unloaded
-_SUBPACKAGES = ("numpy.polynomial",)
+# numpy.polynomial costs ~7 ms of start-up and concurrent.futures ~6 ms, and
+# import numpy leaves both unloaded; only a parallel scan needs the latter
+_SUBPACKAGES = ("numpy.polynomial", "concurrent.futures")
 
 
 def _loaded_after(code: str, tmp_path) -> set[str]:

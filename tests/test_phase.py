@@ -92,6 +92,21 @@ class TestDecide:
                 formula = decide(ConeSpace(n, float(lam)), mode="formula-only")
                 assert certified.verdict is formula.verdict, (n, lam)
 
+    def test_modes_agree_at_the_threshold_double(self):
+        # fl(threshold(n)) lies below lambda* for about half of these n, where
+        # only the exact sign of D says NotMinimizing; the margin stays lam - threshold(n)
+        for n in range(2, 1001):
+            star = threshold(n)
+            for lam in (math.nextafter(star, 0.0), star, math.nextafter(star, 2.0)):
+                if lam > 1.0:
+                    continue
+                certified = decide(ConeSpace(n, lam))
+                formula = decide(ConeSpace(n, lam), mode="formula-only")
+                assert certified.verdict is formula.verdict, (n, lam)
+                assert formula.margin == lam - star
+        formula = decide(ConeSpace(4, 0.8660254037844386), mode="formula-only")
+        assert formula.verdict is Verdict.NOT_MINIMIZING and formula.margin == 0.0
+
 
 class TestScan:
     def test_empty_grid(self):
