@@ -12,7 +12,7 @@ from types import ModuleType as _ModuleType
 
 from .competitors import (CatenoidParams, SearchResult, catenoid_area_closed_form,
                           competitor_search, disk_profile, exp_profile_area,
-                          exp_profile_margin, solve_catenoid)
+                          solve_catenoid)
 from .errors import NumericError, QuadratureError
 from .geometry import (ConeSpace, ExactCone, RevolutionSurface, cone_ricci,
                        cone_sectional, density_ratio, equator_cone, hyperplane,

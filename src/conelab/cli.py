@@ -4,8 +4,8 @@ One subcommand per module: ``scan`` sweeps the (n, lambda) plane, ``shoot``
 integrates a single trajectory of the angle ODE, ``competitor`` searches or
 evaluates explicit competitors, ``stability`` prints instability
 certificates, ``curvature`` evaluates cone curvatures, and ``monotonicity``
-tabulates density ratios.  A JSON config file may supply any flag; explicit
-command-line flags win.
+tabulates density ratios.  A JSON config file may supply any flag of the
+chosen command; explicit command-line flags win.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .competitors import _margin_and_log_gap, competitor_search, exp_profile_are
 from .geometry import ConeSpace
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cone-min-lab",
         description="Numerical laboratory for area-minimizing hypercones "
@@ -72,19 +73,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.9)
     p.add_argument("--radii", type=float, nargs="+", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset (None) flags from the JSON config, if one was given."""
+def _apply_config(parser: argparse.ArgumentParser, command: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> None:
+    """Fill unset (None) flags from the JSON config, if one was given.
+
+    A key that names no flag of the chosen command, or a scalar for a flag
+    that takes a list, is a usage error.
+    """
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         defaults = json.load(fh)
+    flags = {action.dest: action for action in command._actions
+             if action.option_strings and action.dest != "help"}
     for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            parser.error(f"config key {key!r} is not a flag of {args.command}")
+        if action.nargs == "+" and not isinstance(value, list):
+            parser.error(f"config key {key!r} takes a list, got {value!r}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
 def _cmd_scan(args) -> int:
@@ -214,9 +226,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args)
+    _apply_config(parser, commands[args.command], args)
     if args.command == "competitor" and (args.delta is None) != (args.alpha is None):
         parser.error("competitor: give both --delta and --alpha, or neither")
     return _COMMANDS[args.command](args)

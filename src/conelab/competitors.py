@@ -5,7 +5,7 @@ Two families: a catenoid neck glued to an exponentially decaying disk for
 profile for radial graphs in any dimension.  The catenoid patch's area is a
 boundary-term closed form and the disk's telescopes to its tail exponent g,
 one quadrature in log t, ``_log_quad``.  The spindle carries a closed-form
-bound, ``exp_profile_margin``, and its area by quadrature,
+bound, ``_margin_and_log_gap``, and its area by quadrature,
 ``exp_profile_area``, whose tail exponent is its exact log t leading
 term plus an analytic remainder in v = t^2 below theta = 0.3, tabulated once
 per n, ``_g_to_half_pi``.  Below the threshold one closed-form junction
@@ -209,19 +209,6 @@ def _margin_and_log_gap(n: int, lams, log_alpha, log_delta, delta, p_minus_2=Non
         + np.log(1.0 + np.sqrt(1.0 + np.exp(2.0 * log_delta + log_x_rest))))
     log_gap[np.logical_not(p_minus_2 < 0.0)] = -np.inf
     return margin, log_gap[()]   # [()]: 0-d to np.float64
-
-
-def exp_profile_margin(space: ConeSpace, delta: float, alpha: float) -> float:
-    """1/n minus the closed-form bound on the competitor's normalized area.
-
-    One row of ``_margin_and_log_gap``: cancellation-free, so it stays
-    accurate for junction angles far below the square root of machine
-    epsilon, where the direct bound formula loses every significant digit.
-    """
-    if delta == 0.0:   # a junction that underflowed: x = 0 and sin(0)^p = 0
-        return 0.0
-    return float(_margin_and_log_gap(space.n, np.float64(space.lam), math.log(alpha),
-                                     math.log(delta), delta)[0])
 
 
 def _log_sec(t: float) -> float:

@@ -103,8 +103,8 @@ def _decide_block(n: int, lams, mode: str) -> list[Decision]:
     """``decide`` for every lambda of one n at once, in the order given.
 
     lams is a 1-d array or one ``np.float64``, through one code path.  Every
-    row gets D, the barrier line's normalized margin (NaN where the exact
-    D < 0) and the closed-form competitor junction, then takes the barrier
+    row gets D, the barrier line's margin bound D/(2 n lam) (NaN where the
+    exact D < 0) and the closed-form competitor junction, then takes the barrier
     where it exists, else the junction where its check passes, else
     Undetermined.  If a certificate raises NumericError, ValueError or
     ArithmeticError, a block is decided again one lambda at a time, so only

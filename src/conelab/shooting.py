@@ -70,56 +70,50 @@ class BarrierCertificate:
 BARRIER_SAMPLES = 1000  # interior sample angles of barrier_certificate
 
 
-def _larger_roots(n: int, lams, disc=None):
-    """Larger root of c^2 - n*lam*c + (n-1) = 0 per lambda, NaN where the exact D < 0.
-
-    lams is a 1-d array, or one ``np.float64`` for one ``np.float64``.  D = disc, or
-    ``threshold_discriminant(n, lams)`` if None.  Every row takes the root of max(D, 0),
-    so a row with D < 0 raises no invalid-value warning.
-    """
-    disc = threshold_discriminant(n, lams) if disc is None else disc
-    return np.where(disc >= 0.0, (n * lams + np.sqrt(np.maximum(disc, 0.0))) / 2.0, np.nan)[()]
-
-
 def barrier_slope(space: ConeSpace) -> Optional[float]:
-    """``_larger_roots`` on ``np.float64(lam)``: the larger root c, or None where exact D < 0."""
-    c = float(_larger_roots(space.n, np.float64(space.lam)))
-    return None if math.isnan(c) else c
+    """The barrier line's slope n*lam/2, or None where the exact D < 0."""
+    if threshold_discriminant(space.n, np.float64(space.lam)) < 0.0:
+        return None
+    return space.n * space.lam / 2.0
 
 
 def barrier_margins(n: int, lams, disc=None, /):
-    """Normalized margin (n-1)(c^2-1)/(3c) of the barrier line of every lambda.
+    """Lower bound D/(2 n lam) on the margin of every lambda's barrier line.
 
     NaN where the exact D < 0 and no line exists.  lams is a 1-d sequence or
     one ``np.float64``, which gives that row bit for bit; disc is D, if known.
-    Along H = c*theta the margin is m(theta) = H' - c = (n-1)(1/c - tan(theta)/tan(c*theta)).
-    Every Taylor coefficient a_k of tan is positive (Abramowitz & Stegun
-    4.3.67), so tan(c theta) - c tan(theta) = sum a_k (c^(2k+1) - c)
-    theta^(2k+1) >= 0 for c >= 1 and 0 < c*theta < pi/2: the line is a
-    barrier wherever D >= 0; m(theta) >= 0 is all the certificate uses.  The
-    normalized margin is the theta -> 0 limit of m(theta)/theta^2, not a
-    proved lower bound on it (a 50-digit probe saw m(theta)/theta^2
-    increase on every line it tried, but that is observed, not proved).
+    Along H = c*theta, c = n*lam/2, the margin is m(theta) = H' - c =
+    D/(4c) + (n-1)(1/c - tan(theta)/tan(c*theta)), as c^2 - n*lam*c + (n-1)
+    is -D/4 at its vertex.  Every Taylor coefficient a_k of tan is positive
+    (Abramowitz & Stegun 4.3.67), so tan(c theta) - c tan(theta) =
+    sum a_k (c^(2k+1) - c) theta^(2k+1) >= 0 for c >= 1 and 0 < c*theta < pi/2,
+    and D >= 0 gives c >= sqrt(n-1) >= 1: m(theta) >= D/(2 n lam) on the whole
+    line.  The value is that bound to within D's rounding error, about
+    3 * 2^-53 (n lam)^2 (1.3e-15 (n-1) near lambda*; exact, rounded once, where
+    ``threshold_discriminant`` takes the exact ratio), over 2 n lam.
     """
-    cs = _larger_roots(n, np.float64(lams), disc)
-    return (n - 1) * (cs - 1.0) * (cs + 1.0) / (3.0 * cs)
+    lams = np.float64(lams)
+    disc = threshold_discriminant(n, lams) if disc is None else disc
+    margins = np.asarray(disc / (2.0 * n * lams))   # a fresh result, 0-d for one lambda
+    margins[disc < 0.0] = np.nan
+    return margins[()]
 
 
 def barrier_certificate(space: ConeSpace,
                         samples: int = BARRIER_SAMPLES) -> BarrierCertificate:
-    """Check H' > c on the line H = c*theta at interior sample points.
+    """Check H' > c on the line H = c*theta, c = n*lam/2, at interior sample points.
 
     A positive minimum margin certifies that no trajectory can cross the
     line from left to right inside the working box; this sampled form
-    re-checks ``barrier_margins``' lemma.  The samples split (0, theta_max)
-    evenly, theta_max = pi/2 * min(1, 1/c) keeping c*theta inside
-    (0, pi/2); the margin is the least H' - c over them.
+    re-checks ``barrier_margins``' lemma.  The samples split (0, pi/(2c))
+    evenly, keeping c*theta inside (0, pi/2); the margin is the least H' - c
+    over them.
     """
     c = barrier_slope(space)
     if c is None:
         raise ValueError("no barrier slope: n*lam < 2 sqrt(n-1)")
     n = space.n
-    thetas = HALF_PI * min(1.0, 1.0 / c) * np.arange(1, samples + 1) / (samples + 1)
+    thetas = HALF_PI / c * np.arange(1, samples + 1) / (samples + 1)
     rhs = n * space.lam - (n - 1) * np.tan(thetas) / np.tan(c * thetas)
     return BarrierCertificate(c=c, thetas=thetas, rhs_values=rhs, margin=float(rhs.min() - c))
 

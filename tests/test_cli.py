@@ -222,6 +222,40 @@ def test_config_turns_timing_off(tmp_path, monkeypatch, capsys):
     assert calls == [False, True]
 
 
+@pytest.mark.parametrize("command, config", [
+    (["scan", "--n", "3"], {"lamda-min": 0.9}),
+    (["scan", "--n", "3"], {"lam": 0.9}),           # a flag of another command
+    (["scan", "--n", "3"], {"config": "other.json"}),
+    (["curvature", "--n", "3", "--lam", "0.9"], {"radii": [1.0]})])
+def test_config_key_that_names_no_flag_is_rejected(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), *command])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"config key {next(iter(config))!r} is not a flag of {command[0]}" in err
+
+
+@pytest.mark.parametrize("command, config", [
+    (["scan"], {"n": 3}), (["monotonicity"], {"radii": 2.0})])
+def test_config_scalar_for_a_list_flag_is_rejected(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), *command])
+    assert exit_info.value.code == 2
+    assert f"config key {next(iter(config))!r} takes a list" in capsys.readouterr().err
+
+
+def test_config_list_flag_takes_a_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [3, 4], "lambda-points": 2}))
+    main(["--config", str(cfg), "scan"])
+    out = capsys.readouterr().out
+    assert out.count("n=3 lambda=") == 2 and out.count("n=4 lambda=") == 2
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])

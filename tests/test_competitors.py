@@ -13,7 +13,7 @@ from conelab import competitors
 from conelab.competitors import (_DELTA_CAP, CatenoidParams, _g_integrand, _g_to_half_pi,
                                  _log_sec, _margin_and_log_gap, catenoid_area_closed_form,
                                  catenoid_residuals, competitor_search, disk_profile,
-                                 exp_profile_area, exp_profile_margin, search_competitors,
+                                 exp_profile_area, search_competitors,
                                  solve_catenoid)
 from conelab.errors import NumericError, QuadratureError, _qk21, checked_quad
 from conelab.geometry import ConeSpace, threshold_discriminant
@@ -21,6 +21,12 @@ from conelab.profiles import LengthProfile, RadialProfile, s_functional
 
 HALF_PI = math.pi / 2
 L0 = 2 * math.pi
+
+
+def junction_margin(space, delta, alpha):
+    """The competitor's margin at one junction delta > 0: the np.float64 row of the kernel."""
+    return float(_margin_and_log_gap(space.n, np.float64(space.lam), math.log(alpha),
+                                     math.log(delta), delta)[0])
 
 
 def catenoid_jet(p, t):
@@ -234,20 +240,20 @@ class TestDisk:
 
 class TestExpBound:
     def test_threshold_example_narrow_junction(self):
-        bound = 0.5 - exp_profile_margin(ConeSpace(2, 0.9), 0.001, 0.5)
+        bound = 0.5 - junction_margin(ConeSpace(2, 0.9), 0.001, 0.5)
         assert bound == pytest.approx(0.4999998, abs=1e-7)
         assert bound < 0.5
         assert 0.5 - bound == pytest.approx(1.8e-7, rel=0.05)
 
     def test_threshold_example_wide_junction(self):
-        bound = 0.5 - exp_profile_margin(ConeSpace(2, 0.9), 0.05, 0.5)
+        bound = 0.5 - junction_margin(ConeSpace(2, 0.9), 0.05, 0.5)
         assert bound == pytest.approx(0.50022, abs=1e-5)
         assert bound > 0.5
 
     def test_continuous_in_alpha(self):
         space = ConeSpace(3, 0.8)
         alphas = np.linspace(0.05, 0.95, 200)
-        vals = [1.0 / 3.0 - exp_profile_margin(space, 0.01, a) for a in alphas]
+        vals = [1.0 / 3.0 - junction_margin(space, 0.01, a) for a in alphas]
         jumps = np.abs(np.diff(vals))
         assert np.max(jumps) < 0.01
 
@@ -259,7 +265,7 @@ class TestExpBound:
         for delta, alpha in [(0.001, 0.5), (0.01, 0.3), (0.1, 0.7)]:
             an, x = alpha**2, (0.9 * delta / math.log(alpha)) ** 2
             bound = ((1 - an) * math.sqrt(1 + x) + an * (1 - math.sin(delta) ** p)) / 2
-            assert exp_profile_margin(space, delta, alpha) == pytest.approx(
+            assert junction_margin(space, delta, alpha) == pytest.approx(
                 0.5 - bound, abs=1e-14)
 
     def test_log_margin_sign_matches(self):
@@ -267,7 +273,7 @@ class TestExpBound:
         for delta, alpha in [(0.001, 0.5), (0.05, 0.5)]:
             margin, gap = _margin_and_log_gap(2, np.array([0.9]), math.log(alpha),
                                               math.log(delta), delta)
-            assert (gap[0] > 0) == (margin[0] > 0) == (exp_profile_margin(space, delta, alpha) > 0)
+            assert (gap[0] > 0) == (margin[0] > 0) == (junction_margin(space, delta, alpha) > 0)
 
     @given(st.floats(0.05, 0.95), st.floats(-30.0, -1.5))
     @settings(max_examples=200)
@@ -289,8 +295,8 @@ class TestExpBound:
                               st.floats(-800.0, math.log(1.5))), min_size=1, max_size=16))
     @settings(max_examples=100, deadline=None)
     def test_row_of_many_is_one_row_call(self, n, rows):
-        # row i of a many-row kernel call is the one-row call bit for bit:
-        # exp_profile_margin's margin and the kernel's own log gap
+        # row i of a many-row kernel call is the one-row call bit for bit,
+        # margin and log gap, whether lambda is an np.float64 or a 1-d array
         star = 2 * math.sqrt(n - 1) / n
         lams = np.array([u * star for u, _, _ in rows])
         alphas = [a for _, a, _ in rows]
@@ -299,23 +305,26 @@ class TestExpBound:
         log_alphas = np.array([math.log(a) for a in alphas])
         margins, gaps = _margin_and_log_gap(n, lams, log_alphas, log_deltas, deltas)
         for i, alpha in enumerate(alphas):
-            space = ConeSpace(n, float(lams[i]))
-            assert exp_profile_margin(space, float(deltas[i]), alpha) == margins[i]
+            margin, gap = _margin_and_log_gap(n, lams[i], math.log(alpha),
+                                              float(log_deltas[i]), float(deltas[i]))
+            assert margin == margins[i] and gap == gaps[i]
             _, gap = _margin_and_log_gap(n, lams[i:i + 1], math.log(alpha),
                                          float(log_deltas[i]), float(deltas[i]))
             assert gap[0] == gaps[i] and np.isfinite(gaps[i])
 
     def test_margin_is_the_searched_margin(self):
         # competitor_search reports the delta its margin is computed at, so
-        # exp_profile_margin gives the margin back bit for bit, underflowed
-        # junctions (delta = 0.0) included
+        # the kernel's np.float64 row gives the margin back bit for bit,
+        # underflowed junctions (delta = 0.0, margin 0.0) included
         for n in range(2, 7):
             star = 2 * math.sqrt(n - 1) / n
             for lam in np.linspace(0.5, star - 1e-4, 2000):
                 space = ConeSpace(n, float(lam))
                 res = competitor_search(space)
                 assert res.delta == float(np.exp(res.log_delta))
-                assert exp_profile_margin(space, res.delta, res.alpha) == res.margin
+                margin, _ = _margin_and_log_gap(n, np.float64(lam), math.log(res.alpha),
+                                                res.log_delta, res.delta)
+                assert margin == res.margin
 
 
 class TestBoundProof:
@@ -407,7 +416,7 @@ class TestExpArea:
     def test_numeric_below_bound(self):
         space = ConeSpace(2, 0.9)
         numeric = exp_profile_area(space, 0.001, 0.5)
-        assert numeric <= 0.5 - exp_profile_margin(space, 0.001, 0.5) + 1e-9
+        assert numeric <= 0.5 - junction_margin(space, 0.001, 0.5) + 1e-9
         assert numeric <= 0.4999998 + 1e-9
 
     def test_matches_assembled_profile(self):
@@ -681,8 +690,8 @@ class TestSearch:
         assert not res.found
         assert type(res.alpha) is float and type(res.log_delta) is float
         assert res.delta == float(np.exp(res.log_delta))
-        assert res.margin == exp_profile_margin(space, res.delta, res.alpha)
-        assert res.bound == 1.0 / 3.0 - exp_profile_margin(space, res.delta, res.alpha)
+        assert res.margin == junction_margin(space, res.delta, res.alpha)
+        assert res.bound == 1.0 / 3.0 - junction_margin(space, res.delta, res.alpha)
         assert res.bound == 1.0 / 3.0 - res.margin
         assert res.log_delta == math.log(0.3) and res.evaluations == 0
         assert res.log_margin_gap == -math.inf

@@ -328,6 +328,20 @@ class TestNearThreshold:
                 assert type(d.margin) is type(rec.decision.margin) is float
                 assert bits(d) == bits(rec.decision), (n, rec.lam)
 
+    def test_barrier_rows_carry_the_margin_bound(self):
+        # a BarrierLine row's margin is D/(2 n lam) on the exact D, to within
+        # D's rounding error, about 3 2^-53 (n lam)^2 (1.3e-15 (n-1) near
+        # lambda*), over 2 n lam, and the quotient's roundings
+        for n in _EDGE_NS:
+            for rec in scan([n], _edge_lambdas(n), measure_time=False):
+                if rec.decision.certificate is not Certificate.BARRIER_LINE:
+                    continue
+                margin, nl = rec.decision.margin, n * Fraction(rec.lam)
+                exact = (nl * nl - 4 * (n - 1)) / (2 * nl)
+                assert margin >= 0.0, (n, rec.lam)
+                assert abs(Fraction(margin) - exact) <= Fraction(2.0 ** -53) * (
+                    2 * nl + 3 * Fraction(margin)), (n, rec.lam)
+
     def test_barrier_slope_exists_iff_exact_discriminant_nonnegative(self):
         for n in _EDGE_NS:
             for lam in _edge_lambdas(n):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.integrate import solve_ivp
 from conelab import shooting
 from conelab.errors import NumericError, QuadratureError
 from conelab.geometry import ConeSpace, threshold_discriminant
-from conelab.phase import decide, threshold
+from conelab.phase import threshold
 from conelab.profiles import _adaptive_quad, s_functional
 from conelab.shooting import (OutcomeKind, ShootingOutcome, _theta_rhs,
                               barrier_certificate, barrier_margins, barrier_slope,
@@ -42,16 +43,9 @@ class TestRhs:
 
 class TestBarrier:
     def test_slope_values(self):
-        assert barrier_slope(ConeSpace(3, 0.95)) == pytest.approx(1.6)
-        assert barrier_slope(ConeSpace(2, 1.0)) == pytest.approx(1.0)
+        assert barrier_slope(ConeSpace(3, 0.95)) == 3 * 0.95 / 2 == pytest.approx(1.425)
+        assert barrier_slope(ConeSpace(2, 1.0)) == 1.0
         assert barrier_slope(ConeSpace(3, 0.9)) is None
-
-    def test_roots_product(self):
-        # c and (n-1)/c are the roots of c^2 - n lam c + (n-1): their sum is
-        # n lam, and c is the larger
-        c = barrier_slope(ConeSpace(4, 0.9))
-        assert c + 3.0 / c == pytest.approx(3.6, rel=1e-12)
-        assert 3.0 / c <= c
 
     def test_certificate_positive(self):
         cert = barrier_certificate(ConeSpace(3, 0.95), samples=1000)
@@ -71,35 +65,39 @@ class TestBarrier:
             barrier_certificate(ConeSpace(3, 0.9))
 
     def test_normalized_margin_bounds_the_line(self):
-        # m(theta) = (n-1)(1/c - tan(theta)/tan(c theta)) >= M theta^2 in 50
-        # digits, M the normalized margin, from 1e-4 theta_max to theta_max
-        # on lines from the double root (c = 1) and lambda* (1 + 1e-6) up to
-        # lambda = 1 (c = n-1); the sampled certificate agrees in sign
+        # m(theta) = n lam - c - (n-1) tan(theta)/tan(c theta) >= D/(2 n lam)
+        # on H = c theta, c = n lam/2, in 50 digits, from 1e-4 theta_max to
+        # theta_max = pi/(2c), on lines from the first double with exact
+        # D >= 0 and lambda* + 1e-14 up to lambda = 1; barrier_margins is
+        # that bound, and the sampled certificate agrees in sign
         lines = [(2, 1.0)]
         for n in (3, 6, 100, 1000):
-            star = threshold(n)
+            star = first = threshold(n)
+            while (n * Fraction(first)) ** 2 >= 4 * (n - 1):
+                first = math.nextafter(first, 0.0)
+            while (n * Fraction(first)) ** 2 < 4 * (n - 1):
+                first = math.nextafter(first, 1.0)
+            lines += [(n, first), (n, star + 1e-14)]
             lines += [(n, min(1.0, star * (1 + e))) for e in (1e-6, 1e-3, 0.05, 1.0)]
+        fractions = np.concatenate([np.geomspace(1e-4, 0.01, 100),
+                                    np.linspace(0.01, 1.0, 101)[1:-1], [1.0 - 1e-9]])
         for n, lam in lines:
             space = ConeSpace(n, lam)
             c = barrier_slope(space)
+            assert c == n * lam / 2
             M = float(barrier_margins(n, [lam])[0])
             assert M >= 0.0
             assert barrier_certificate(space, 1000).margin >= 0.0
-            theta_max = HALF_PI * min(1.0, 1.0 / c)
-            fractions = np.concatenate([np.geomspace(1e-4, 0.01, 100),
-                                        np.linspace(0.01, 1.0, 101)[1:-1], [1.0 - 1e-9]])
             with mpmath.workdps(50):
-                c_ = mpmath.mpf(c)
-                for t in fractions * theta_max:
+                nl = n * mpmath.mpf(lam)        # exact: 63 bits at most
+                bound = (nl * nl - 4 * (n - 1)) / (2 * nl)
+                # D's rounding error, about 3 2^-53 (n lam)^2, over 2 n lam,
+                # and the quotient's roundings
+                assert bound >= 0 and abs(M - bound) <= 2.0 ** -53 * (2 * nl + 3 * M)
+                for t in fractions * (HALF_PI / c):
                     t = mpmath.mpf(float(t))
-                    m = (n - 1) * (1 / c_ - mpmath.tan(t) / mpmath.tan(c_ * t))
-                    assert m >= M * t * t, (n, lam, float(t))
-
-    def test_scan_uses_the_normalized_margin(self):
-        for n, lam in ((2, 1.0), (3, 0.95), (6, 0.8)):
-            c = barrier_slope(ConeSpace(n, lam))
-            assert decide(ConeSpace(n, lam)).margin == pytest.approx(
-                (n - 1) * (c * c - 1) / (3 * c), rel=1e-14, abs=1e-300)
+                    m = nl / 2 - (n - 1) * mpmath.tan(t) / mpmath.tan(nl / 2 * t)
+                    assert m >= bound, (n, lam, float(t))
 
     @given(st.integers(3, 8), st.floats(0.01, 0.3))
     @settings(max_examples=60, deadline=None)
